@@ -553,14 +553,16 @@ std::vector<fp::Fixed> BatchNacu::softmax(
   const obs::TraceSpan span{"BatchNacu::softmax"};
   const fp::Format fmt = unit_.format();
   const std::size_t n = inputs.size();
-  // Fused raw-domain path: needs the exp table (always Dense), no armed
+  // Fused raw-domain path: needs a Dense exp table (the i32 gather reads
+  // only that layout; exp is always published Dense today), no armed
   // fault port (the port contract is per-read interception), every input
   // already on the datapath grid, and ib >= 1 so from_double(1.0) is
   // exactly 2^fb — the preconditions under which the raw algebra below is
   // provably bit-identical to the Fixed-API passes. Anything else takes the
   // original path unchanged.
   if (fault_port_ == nullptr && fmt.integer_bits() >= 1) {
-    if (const simd::TableView* exp_view = table_for(Function::Exp, n)) {
+    const simd::TableView* exp_view = table_for(Function::Exp, n);
+    if (exp_view != nullptr && exp_view->kind == simd::TableKind::Dense) {
       bool uniform = true;
       for (const fp::Fixed& x : inputs) {
         if (x.format() != fmt) {
@@ -665,7 +667,7 @@ std::vector<fp::Fixed> BatchNacu::softmax_fused(
       }
       exps[k] = static_cast<std::int32_t>(diff - min_raw);
     }
-    simd::table_lookup_i32(backend, exp_view, min_raw, exps.data() + begin,
+    simd::table_lookup_i32(backend, exp_view.entries, exps.data() + begin,
                            exps.data() + begin, end - begin);
   });
   // Pass 3 — denominator. mac(denom, e, 1.0) with one_raw = 2^fb and

@@ -215,8 +215,9 @@ class BatchNacu {
   /// fused shift+exp pass, the same ordered saturating denominator
   /// accumulation, then the divide/reciprocal pass — all on int raws,
   /// bit-identical to the Fixed-API path (see DESIGN.md for the algebra).
-  /// Callable only when the exp table exists, no fault port is armed, every
-  /// input is in the datapath format, and 1.0 is representable.
+  /// Callable only when the exp table exists and is Dense, no fault port is
+  /// armed, every input is in the datapath format, and 1.0 is
+  /// representable.
   [[nodiscard]] std::vector<fp::Fixed> softmax_fused(
       std::span<const fp::Fixed> inputs, const simd::TableView& exp_view) const;
 

@@ -6,12 +6,17 @@
 // Keep these loops boring and obviously equivalent to the Fixed-API
 // formulations they replace.
 //
-// The half-range reconstruct is everywhere the same branch-free select:
-//   v   = entries[|raw|]            (|min_raw| lands on the extra slot)
-//   out = raw < 0 ? one_raw − v : v (one_raw == 0 for odd functions)
-// The PWL form has no vector implementation yet — it exists to shrink the
-// working set when many configs are live, and its per-element cost is a
-// handful of integer ops rather than a cache-missing gather.
+// There is one scalar lookup loop per element domain (Fixed span, int64
+// raw); with_entry picks the layout's per-raw entry function once per call
+// and instantiates the loop for it. The vector TUs mirror that shape: one
+// loop body per ISA, instantiated per domain × {dense, half}. The
+// half-range reconstruct is everywhere the same select:
+//   v   = entries[|raw|]                   (|min_raw| lands on the extra slot)
+//   out = raw < 0 ? one_raw − v + corr : v (one_raw == 0 for odd functions)
+// The PWL form has no vector implementation — every backend runs the scalar
+// loop for it. It exists to shrink the working set when many configs are
+// live, and its per-element cost is a handful of integer ops rather than a
+// cache-missing gather.
 
 #include "simd/kernels.hpp"
 
@@ -50,10 +55,6 @@ std::size_t table_lookup_raw_avx2_half(const std::int16_t* table,
                                        std::int64_t* out, std::size_t n);
 void table_lookup_i32_avx2(const std::int16_t* table, const std::int32_t* in,
                            std::int32_t* out, std::size_t n);
-void table_lookup_i32_avx2_half(const std::int16_t* table,
-                                std::int64_t one_raw, std::int64_t min_raw,
-                                const std::int32_t* in, std::int32_t* out,
-                                std::size_t n);
 void qgemm_accumulate_avx2(const std::int16_t* packed, std::size_t tiles,
                            std::size_t in_dim, const std::int32_t* x,
                            std::int32_t* acc, int fb, std::int32_t acc_min,
@@ -69,8 +70,8 @@ void conv3x3_mac_row_avx2(const std::int32_t* row0, const std::int32_t* row1,
 #if defined(NACU_HAVE_AVX512)
 namespace detail {
 // Implemented in kernels_avx512.cpp (-mavx512f -mavx512bw). Same block
-// contract as the AVX2 set, 16 lanes per step; the i32 kernels use masked
-// gathers/stores and need no scalar tail at all.
+// contract as the AVX2 set, 16 lanes per step; the i32 kernel uses masked
+// gathers/stores and needs no scalar tail at all.
 std::size_t table_lookup_fixed_avx512(const std::int16_t* table,
                                       std::int64_t fmt_bits,
                                       std::int64_t min_raw, const char* in,
@@ -94,10 +95,6 @@ std::size_t table_lookup_raw_avx512_half(const std::int16_t* table,
 void table_lookup_i32_avx512(const std::int16_t* table,
                              const std::int32_t* in, std::int32_t* out,
                              std::size_t n);
-void table_lookup_i32_avx512_half(const std::int16_t* table,
-                                  std::int64_t one_raw, std::int64_t min_raw,
-                                  const std::int32_t* in, std::int32_t* out,
-                                  std::size_t n);
 void qgemm_accumulate_avx512(const std::int16_t* packed, std::size_t tiles,
                              std::size_t in_dim, const std::int32_t* x,
                              std::int32_t* acc, int fb, std::int32_t acc_min,
@@ -137,10 +134,6 @@ std::size_t table_lookup_raw_neon_half(const std::int16_t* table,
                                        std::int64_t* out, std::size_t n);
 void table_lookup_i32_neon(const std::int16_t* table, const std::int32_t* in,
                            std::int32_t* out, std::size_t n);
-void table_lookup_i32_neon_half(const std::int16_t* table,
-                                std::int64_t one_raw, std::int64_t min_raw,
-                                const std::int32_t* in, std::int32_t* out,
-                                std::size_t n);
 void qgemm_accumulate_neon(const std::int16_t* packed, std::size_t tiles,
                            std::size_t in_dim, const std::int32_t* x,
                            std::int32_t* acc, int fb, std::int32_t acc_min,
@@ -186,33 +179,49 @@ std::int64_t format_bits(fp::Format fmt) noexcept {
   return bits;
 }
 
-/// HalfSigmoid reconstructs with one_raw; HalfOdd (and everything else)
-/// with 0, making `one − v` the single negative-side formula.
-std::int64_t half_one(const TableView& view) noexcept {
-  return view.kind == TableKind::HalfSigmoid ? view.one_raw : 0;
-}
-
-/// entries[|raw|] with the negative side reconstructed. |min_raw| =
-/// max_raw + 1 indexes the extra pre-inverted slot — no special case.
-/// HalfSigmoid (one != 0) entries are corr-packed: the sample lives in the
-/// low 15 bits and bit 15 carries the +1 the negative branch's bit-trick
-/// coefficient morph adds over the exact 1 − σ(x) on some raws (see
-/// simd/kernels.hpp). HalfOdd (one == 0) entries are plain signed samples.
+/// entries[|raw|] with the negative side reconstructed as one − v + corr
+/// (the paper's Eq. 3 fold). |min_raw| = max_raw + 1 indexes the extra
+/// pre-inverted slot — no special case. HalfSigmoid (kPacked) entries are
+/// corr-packed: the sample lives in the low 15 bits and bit 15 carries the
+/// +1 the negative branch's bit-trick coefficient morph adds over the exact
+/// 1 − σ(x) on some raws (see simd/kernels.hpp). HalfOdd entries are plain
+/// signed samples with one == 0, so the same formula negates them.
+template <bool kPacked>
 inline std::int64_t half_entry(const std::int16_t* entries, std::int64_t one,
                                std::int64_t raw) noexcept {
-  if (one == 0) {
-    if (raw >= 0) {
-      return entries[static_cast<std::size_t>(raw)];
-    }
-    return -entries[static_cast<std::size_t>(-raw)];
+  const std::int16_t e =
+      entries[static_cast<std::size_t>(raw >= 0 ? raw : -raw)];
+  const auto bits = static_cast<std::uint16_t>(e);
+  const std::int64_t v = kPacked ? bits & 0x7FFF : e;
+  const std::int64_t corr = kPacked ? bits >> 15 : 0;
+  return raw >= 0 ? v : one - v + corr;
+}
+
+/// Call @p body with the view's per-raw entry function, so each scalar
+/// loop below is written once and the layout is chosen once per call.
+template <typename Body>
+auto with_entry(const TableView& view, std::int64_t min_raw, Body&& body) {
+  const std::int16_t* entries = view.entries;
+  switch (view.kind) {
+    case TableKind::Dense:
+      return body([entries, min_raw](std::int64_t raw) -> std::int64_t {
+        return entries[static_cast<std::size_t>(raw - min_raw)];
+      });
+    case TableKind::HalfSigmoid:
+      return body([entries, one = std::int64_t{view.one_raw}](
+                      std::int64_t raw) {
+        return half_entry<true>(entries, one, raw);
+      });
+    case TableKind::HalfOdd:
+      return body([entries](std::int64_t raw) {
+        return half_entry<false>(entries, 0, raw);
+      });
+    case TableKind::Pwl:
+      break;
   }
-  const auto packed = static_cast<std::uint16_t>(
-      entries[static_cast<std::size_t>(raw >= 0 ? raw : -raw)]);
-  const std::int64_t v = packed & 0x7FFF;
-  if (raw >= 0) {
-    return v;
-  }
-  return one - v + (packed >> 15);
+  return body([pwl = view.pwl](std::int64_t raw) {
+    return pwl_eval_raw(*pwl, raw);
+  });
 }
 
 inline std::int32_t clamp_i32(std::int64_t v, std::int32_t lo,
@@ -226,51 +235,22 @@ inline std::int32_t clamp_i32(std::int64_t v, std::int32_t lo,
   return static_cast<std::int32_t>(v);
 }
 
-std::size_t table_lookup_fixed_scalar(const std::int16_t* table,
-                                      fp::Format fmt, const fp::Fixed* in,
-                                      fp::Fixed* out, std::size_t n) {
-  const std::int64_t min_raw = fmt.min_raw();
+template <typename Entry>
+std::size_t table_lookup_fixed_scalar(Entry entry, fp::Format fmt,
+                                      const fp::Fixed* in, fp::Fixed* out,
+                                      std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     if (in[i].format() != fmt) {
       return i;
     }
-    const auto word =
-        static_cast<std::size_t>(in[i].raw() - min_raw);
-    out[i] = fp::Fixed::from_raw_unchecked(table[word], fmt);
+    out[i] = fp::Fixed::from_raw_unchecked(entry(in[i].raw()), fmt);
   }
   return n;
 }
 
-std::size_t table_lookup_fixed_scalar_half(const std::int16_t* entries,
-                                           std::int64_t one, fp::Format fmt,
-                                           const fp::Fixed* in, fp::Fixed* out,
-                                           std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (in[i].format() != fmt) {
-      return i;
-    }
-    out[i] = fp::Fixed::from_raw_unchecked(half_entry(entries, one,
-                                                      in[i].raw()),
-                                           fmt);
-  }
-  return n;
-}
-
-std::size_t table_lookup_fixed_scalar_pwl(const PwlTable& pwl, fp::Format fmt,
-                                          const fp::Fixed* in, fp::Fixed* out,
-                                          std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (in[i].format() != fmt) {
-      return i;
-    }
-    out[i] = fp::Fixed::from_raw_unchecked(pwl_eval_raw(pwl, in[i].raw()),
-                                           fmt);
-  }
-  return n;
-}
-
-std::size_t table_lookup_raw_scalar(const std::int16_t* table,
-                                    std::int64_t min_raw, std::int64_t max_raw,
+template <typename Entry>
+std::size_t table_lookup_raw_scalar(Entry entry, std::int64_t min_raw,
+                                    std::int64_t max_raw,
                                     const std::int64_t* in, std::int64_t* out,
                                     std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -278,66 +258,9 @@ std::size_t table_lookup_raw_scalar(const std::int16_t* table,
     if (raw < min_raw || raw > max_raw) {
       return i;
     }
-    out[i] = table[static_cast<std::size_t>(raw - min_raw)];
+    out[i] = entry(raw);
   }
   return n;
-}
-
-std::size_t table_lookup_raw_scalar_half(const std::int16_t* entries,
-                                         std::int64_t one,
-                                         std::int64_t min_raw,
-                                         std::int64_t max_raw,
-                                         const std::int64_t* in,
-                                         std::int64_t* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t raw = in[i];
-    if (raw < min_raw || raw > max_raw) {
-      return i;
-    }
-    out[i] = half_entry(entries, one, raw);
-  }
-  return n;
-}
-
-std::size_t table_lookup_raw_scalar_pwl(const PwlTable& pwl,
-                                        std::int64_t min_raw,
-                                        std::int64_t max_raw,
-                                        const std::int64_t* in,
-                                        std::int64_t* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t raw = in[i];
-    if (raw < min_raw || raw > max_raw) {
-      return i;
-    }
-    out[i] = pwl_eval_raw(pwl, raw);
-  }
-  return n;
-}
-
-void table_lookup_i32_scalar(const std::int16_t* table, const std::int32_t* in,
-                             std::int32_t* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = table[in[i]];
-  }
-}
-
-void table_lookup_i32_scalar_half(const std::int16_t* entries,
-                                  std::int64_t one, std::int64_t min_raw,
-                                  const std::int32_t* in, std::int32_t* out,
-                                  std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t raw = static_cast<std::int64_t>(in[i]) + min_raw;
-    out[i] = static_cast<std::int32_t>(half_entry(entries, one, raw));
-  }
-}
-
-void table_lookup_i32_scalar_pwl(const PwlTable& pwl, std::int64_t min_raw,
-                                 const std::int32_t* in, std::int32_t* out,
-                                 std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<std::int32_t>(
-        pwl_eval_raw(pwl, static_cast<std::int64_t>(in[i]) + min_raw));
-  }
 }
 
 void qgemm_accumulate_scalar(const std::int16_t* packed, std::size_t tiles,
@@ -440,33 +363,26 @@ std::int64_t pwl_eval_raw(const PwlTable& t, std::int64_t raw) noexcept {
 std::int64_t table_entry_for_word(const TableView& view, std::int64_t min_raw,
                                   std::size_t word) noexcept {
   const std::int64_t raw = min_raw + static_cast<std::int64_t>(word);
-  switch (view.kind) {
-    case TableKind::Dense:
-      return view.entries[word];
-    case TableKind::HalfSigmoid:
-    case TableKind::HalfOdd:
-      return half_entry(view.entries, half_one(view), raw);
-    case TableKind::Pwl:
-      return pwl_eval_raw(*view.pwl, raw);
-  }
-  return 0;
+  return with_entry(view, min_raw,
+                    [raw](auto entry) -> std::int64_t { return entry(raw); });
 }
 
 std::size_t table_lookup_fixed(Backend backend, const TableView& view,
                                fp::Format fmt, const fp::Fixed* in,
                                fp::Fixed* out, std::size_t n) {
-  if (view.kind == TableKind::Pwl) {
-    return table_lookup_fixed_scalar_pwl(*view.pwl, fmt, in, out, n);
-  }
+  // Pwl has no vector kernel: every backend runs the scalar loop for it.
+  const bool sampled = view.kind != TableKind::Pwl;
   const bool layout_ok = fixed_layout_is_raw_then_format();
-  if (backend != Backend::Scalar && !layout_ok) {
+  if (sampled && backend != Backend::Scalar && !layout_ok) {
     note_abi_probe_fallback();
   }
-  const bool half = view.kind != TableKind::Dense;
-  const std::int64_t one = half_one(view);
+  [[maybe_unused]] const bool vector_ok = sampled && layout_ok;
+  [[maybe_unused]] const bool half = view.kind != TableKind::Dense;
+  [[maybe_unused]] const std::int64_t one =
+      view.kind == TableKind::HalfSigmoid ? view.one_raw : 0;
   std::size_t done = 0;
 #if defined(NACU_HAVE_AVX512)
-  if (backend == Backend::Avx512 && layout_ok) {
+  if (backend == Backend::Avx512 && vector_ok) {
     done = half ? detail::table_lookup_fixed_avx512_half(
                       view.entries, format_bits(fmt), one,
                       reinterpret_cast<const char*>(in),
@@ -478,7 +394,7 @@ std::size_t table_lookup_fixed(Backend backend, const TableView& view,
   }
 #endif
 #if defined(NACU_HAVE_AVX2)
-  if (backend == Backend::Avx2 && layout_ok) {
+  if (backend == Backend::Avx2 && vector_ok) {
     done = half ? detail::table_lookup_fixed_avx2_half(
                       view.entries, format_bits(fmt), one,
                       reinterpret_cast<const char*>(in),
@@ -490,7 +406,7 @@ std::size_t table_lookup_fixed(Backend backend, const TableView& view,
   }
 #endif
 #if defined(NACU_HAVE_NEON)
-  if (backend == Backend::Neon && layout_ok) {
+  if (backend == Backend::Neon && vector_ok) {
     done = half ? detail::table_lookup_fixed_neon_half(
                       view.entries, format_bits(fmt), one,
                       reinterpret_cast<const char*>(in),
@@ -505,36 +421,24 @@ std::size_t table_lookup_fixed(Backend backend, const TableView& view,
     !defined(NACU_HAVE_NEON)
   (void)format_bits;
 #endif
-  if (half) {
-    return done + table_lookup_fixed_scalar_half(view.entries, one, fmt,
-                                                 in + done, out + done,
-                                                 n - done);
-  }
-  return done + table_lookup_fixed_scalar(view.entries, fmt, in + done,
-                                          out + done, n - done);
-}
-
-std::size_t table_lookup_fixed(Backend backend, const std::int16_t* table,
-                               fp::Format fmt, const fp::Fixed* in,
-                               fp::Fixed* out, std::size_t n) {
-  TableView view;
-  view.entries = table;
-  return table_lookup_fixed(backend, view, fmt, in, out, n);
+  return done + with_entry(view, fmt.min_raw(), [&](auto entry) {
+           return table_lookup_fixed_scalar(entry, fmt, in + done, out + done,
+                                            n - done);
+         });
 }
 
 std::size_t table_lookup_raw(Backend backend, const TableView& view,
                              std::int64_t min_raw, std::int64_t max_raw,
                              const std::int64_t* in, std::int64_t* out,
                              std::size_t n) {
-  if (view.kind == TableKind::Pwl) {
-    return table_lookup_raw_scalar_pwl(*view.pwl, min_raw, max_raw, in, out,
-                                       n);
-  }
-  const bool half = view.kind != TableKind::Dense;
-  const std::int64_t one = half_one(view);
+  // Pwl has no vector kernel: every backend runs the scalar loop for it.
+  [[maybe_unused]] const bool sampled = view.kind != TableKind::Pwl;
+  [[maybe_unused]] const bool half = view.kind != TableKind::Dense;
+  [[maybe_unused]] const std::int64_t one =
+      view.kind == TableKind::HalfSigmoid ? view.one_raw : 0;
   std::size_t done = 0;
 #if defined(NACU_HAVE_AVX512)
-  if (backend == Backend::Avx512) {
+  if (backend == Backend::Avx512 && sampled) {
     done = half ? detail::table_lookup_raw_avx512_half(view.entries, one,
                                                        min_raw, max_raw, in,
                                                        out, n)
@@ -543,7 +447,7 @@ std::size_t table_lookup_raw(Backend backend, const TableView& view,
   }
 #endif
 #if defined(NACU_HAVE_AVX2)
-  if (backend == Backend::Avx2) {
+  if (backend == Backend::Avx2 && sampled) {
     done = half ? detail::table_lookup_raw_avx2_half(view.entries, one,
                                                      min_raw, max_raw, in,
                                                      out, n)
@@ -552,7 +456,7 @@ std::size_t table_lookup_raw(Backend backend, const TableView& view,
   }
 #endif
 #if defined(NACU_HAVE_NEON)
-  if (backend == Backend::Neon) {
+  if (backend == Backend::Neon && sampled) {
     done = half ? detail::table_lookup_raw_neon_half(view.entries, one,
                                                      min_raw, max_raw, in,
                                                      out, n)
@@ -564,63 +468,30 @@ std::size_t table_lookup_raw(Backend backend, const TableView& view,
     !defined(NACU_HAVE_NEON)
   (void)backend;
 #endif
-  if (half) {
-    return done + table_lookup_raw_scalar_half(view.entries, one, min_raw,
-                                               max_raw, in + done, out + done,
-                                               n - done);
-  }
-  return done + table_lookup_raw_scalar(view.entries, min_raw, max_raw,
-                                        in + done, out + done, n - done);
+  return done + with_entry(view, min_raw, [&](auto entry) {
+           return table_lookup_raw_scalar(entry, min_raw, max_raw, in + done,
+                                          out + done, n - done);
+         });
 }
 
-std::size_t table_lookup_raw(Backend backend, const std::int16_t* table,
-                             std::int64_t min_raw, std::int64_t max_raw,
-                             const std::int64_t* in, std::int64_t* out,
-                             std::size_t n) {
-  TableView view;
-  view.entries = table;
-  return table_lookup_raw(backend, view, min_raw, max_raw, in, out, n);
-}
-
-void table_lookup_i32(Backend backend, const TableView& view,
-                      std::int64_t min_raw, const std::int32_t* in,
-                      std::int32_t* out, std::size_t n) {
-  if (view.kind == TableKind::Pwl) {
-    table_lookup_i32_scalar_pwl(*view.pwl, min_raw, in, out, n);
-    return;
-  }
-  const bool half = view.kind != TableKind::Dense;
-  const std::int64_t one = half_one(view);
+void table_lookup_i32(Backend backend, const std::int16_t* table,
+                      const std::int32_t* in, std::int32_t* out,
+                      std::size_t n) {
 #if defined(NACU_HAVE_AVX512)
   if (backend == Backend::Avx512) {
-    if (half) {
-      detail::table_lookup_i32_avx512_half(view.entries, one, min_raw, in,
-                                           out, n);
-    } else {
-      detail::table_lookup_i32_avx512(view.entries, in, out, n);
-    }
+    detail::table_lookup_i32_avx512(table, in, out, n);
     return;
   }
 #endif
 #if defined(NACU_HAVE_AVX2)
   if (backend == Backend::Avx2) {
-    if (half) {
-      detail::table_lookup_i32_avx2_half(view.entries, one, min_raw, in, out,
-                                         n);
-    } else {
-      detail::table_lookup_i32_avx2(view.entries, in, out, n);
-    }
+    detail::table_lookup_i32_avx2(table, in, out, n);
     return;
   }
 #endif
 #if defined(NACU_HAVE_NEON)
   if (backend == Backend::Neon) {
-    if (half) {
-      detail::table_lookup_i32_neon_half(view.entries, one, min_raw, in, out,
-                                         n);
-    } else {
-      detail::table_lookup_i32_neon(view.entries, in, out, n);
-    }
+    detail::table_lookup_i32_neon(table, in, out, n);
     return;
   }
 #endif
@@ -628,19 +499,9 @@ void table_lookup_i32(Backend backend, const TableView& view,
     !defined(NACU_HAVE_NEON)
   (void)backend;
 #endif
-  if (half) {
-    table_lookup_i32_scalar_half(view.entries, one, min_raw, in, out, n);
-  } else {
-    table_lookup_i32_scalar(view.entries, in, out, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = table[in[i]];
   }
-}
-
-void table_lookup_i32(Backend backend, const std::int16_t* table,
-                      const std::int32_t* in, std::int32_t* out,
-                      std::size_t n) {
-  TableView view;
-  view.entries = table;
-  table_lookup_i32(backend, view, 0, in, out, n);
 }
 
 void qgemm_accumulate(Backend backend, const std::int16_t* packed,

@@ -1,13 +1,20 @@
 // Vectorizable kernels behind the Backend dispatch (simd/dispatch.hpp).
 //
-// Each kernel exists once per ISA: a portable scalar loop (the reference,
-// compiled everywhere) plus AVX2 / AVX-512 / NEON implementations in their
-// own TUs (kernels_avx2.cpp, kernels_avx512.cpp, kernels_neon.cpp —
-// compiled with the matching -m flags, absent under -DNACU_FORCE_SCALAR=ON
-// or on foreign targets). The entry points here pick between them from the
-// Backend argument — resolved once by the caller, never per element — and
-// all implementations are bit-identical by contract, enforced by
-// tests/test_simd_differential.cpp.
+// The surface is five entry points:
+//   table_lookup_fixed  fp::Fixed span through a TableView (format-checked)
+//   table_lookup_raw    int64 raws through a TableView (range-checked)
+//   table_lookup_i32    int32 dense-table words, unchecked (softmax exp)
+//   qgemm_accumulate    fused quantized GEMV (nn::QuantizedMlp, LstmFixed)
+//   conv3x3_mac_row     fused 3x3 convolution MAC row
+// Each exists once per ISA: a portable scalar loop (the reference, compiled
+// everywhere) plus AVX2 / AVX-512 / NEON implementations in their own TUs
+// (kernels_avx2.cpp, kernels_avx512.cpp, kernels_neon.cpp — compiled with
+// the matching -m flags, absent under -DNACU_FORCE_SCALAR=ON or on foreign
+// targets). In the x86 TUs the Fixed/raw lookups are one fused loop body
+// instantiated per element domain × {dense, half-range}. The entry points
+// here pick between the ISAs from the Backend argument — resolved once by
+// the caller, never per element — and all implementations are
+// bit-identical by contract, enforced by tests/test_simd_differential.cpp.
 //
 // All kernels work on *raw* fixed-point integers (or on fp::Fixed spans
 // whose raw/format layout a runtime probe has verified), because the
@@ -144,13 +151,6 @@ struct TableView {
                                              const fp::Fixed* in,
                                              fp::Fixed* out, std::size_t n);
 
-/// Dense-table convenience overload (a Dense TableView over @p table).
-[[nodiscard]] std::size_t table_lookup_fixed(Backend backend,
-                                             const std::int16_t* table,
-                                             fp::Format fmt,
-                                             const fp::Fixed* in,
-                                             fp::Fixed* out, std::size_t n);
-
 /// Activation lookup over raw int64 values through a TableView:
 ///   out[i] = entry(in[i])  for min_raw <= in[i] <= max_raw.
 /// Stops at the first out-of-range raw and returns the count processed.
@@ -162,24 +162,11 @@ struct TableView {
                                            const std::int64_t* in,
                                            std::int64_t* out, std::size_t n);
 
-/// Dense-table convenience overload.
-[[nodiscard]] std::size_t table_lookup_raw(Backend backend,
-                                           const std::int16_t* table,
-                                           std::int64_t min_raw,
-                                           std::int64_t max_raw,
-                                           const std::int64_t* in,
-                                           std::int64_t* out, std::size_t n);
-
-/// Unchecked activation lookup over int32 words already rebased to dense
-/// table indices (word = raw − min_raw): out[i] = entry(word[i]). Used
-/// inside fused paths (softmax exp pass) where the indices were produced by
-/// a clamping kernel and cannot be out of range. @p min_raw un-rebases the
-/// word for the Half*/Pwl layouts. `in` and `out` may alias exactly.
-void table_lookup_i32(Backend backend, const TableView& view,
-                      std::int64_t min_raw, const std::int32_t* in,
-                      std::int32_t* out, std::size_t n);
-
-/// Dense-table convenience overload (no rebase needed: word IS the index).
+/// Unchecked lookup in a Dense table over int32 words already rebased to
+/// table indices (word = raw − min_raw): out[i] = table[in[i]]. Used by
+/// the fused softmax exp pass, whose exp table is always Dense and whose
+/// words come from a clamping pass, so they cannot be out of range. `in`
+/// and `out` may alias exactly.
 void table_lookup_i32(Backend backend, const std::int16_t* table,
                       const std::int32_t* in, std::int32_t* out,
                       std::size_t n);

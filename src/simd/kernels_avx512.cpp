@@ -9,7 +9,7 @@
 // probe (fixed_layout_is_raw_then_format).
 //
 // Relative to the AVX2 TU everything doubles to 16 dword lanes per step,
-// gathers take k-masks (the i32 kernels use them to process ragged tails
+// gathers take k-masks (the i32 kernel uses them to process ragged tails
 // with no scalar loop at all), and the qgemm kernel runs two 8-wide tiles
 // per 512-bit vector — consecutive tiles' accumulators are contiguous, so
 // one load/store covers both.
@@ -49,20 +49,6 @@ inline __m512i add_clamp_epi32_512(__m512i a, __m512i b, __m512i lo,
   return _mm512_min_epi32(_mm512_max_epi32(sum, lo), hi);
 }
 
-/// Widen 16 dword results back to qwords and store them interleaved with
-/// the format qword, reproducing 16 consecutive Fixed. `vals`'s dword
-/// order must match the unpacklo raw order ([e0 e4 e1 e5 ...] per half).
-inline void store_fixed16(char* q, __m512i vals, __m512i fmt_v) noexcept {
-  const __m512i ys_a =
-      _mm512_cvtepi32_epi64(_mm512_castsi512_si256(vals));
-  const __m512i ys_b =
-      _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(vals, 1));
-  _mm512_storeu_si512(q + 0, _mm512_unpacklo_epi64(ys_a, fmt_v));
-  _mm512_storeu_si512(q + 64, _mm512_unpackhi_epi64(ys_a, fmt_v));
-  _mm512_storeu_si512(q + 128, _mm512_unpacklo_epi64(ys_b, fmt_v));
-  _mm512_storeu_si512(q + 192, _mm512_unpackhi_epi64(ys_b, fmt_v));
-}
-
 /// Compact two 8-qword vectors into one 16-dword index vector (the qword
 /// values are known to fit a dword).
 inline __m512i compact_qwords(__m512i a, __m512i b) noexcept {
@@ -71,40 +57,115 @@ inline __m512i compact_qwords(__m512i a, __m512i b) noexcept {
   return _mm512_inserti64x4(_mm512_castsi256_si512(ia), ib, 1);
 }
 
+// ---- Table lookup: one body, four instantiations ----
+//
+// The same compile-time split as the AVX2 TU (see its comment there):
+// kFixed picks the element domain — Fixed spans with a format check and an
+// interleaved store, or int64 raws with a range check and a widening
+// store; a stopping block issues no store — and kHalf picks the layout —
+// dense table[raw − min_raw], or the half-range table[|raw|] with the
+// Eq. 3 negative-side reconstruct one_raw − v + corr. HalfSigmoid
+// (one_raw != 0) entries are corr-packed (kernels.hpp): vmask strips the
+// bit-15 correction, cmask gates the +1 term; for HalfOdd both degenerate
+// to the plain one_raw − v reconstruct.
+//
+// The Fixed loads split raws from formats per 128-bit lane pair, so the
+// raws sit in [e0 e4 e1 e5 ...] order per vector; the widened results
+// interleave back with the format qword in memory order.
+template <bool kFixed, bool kHalf>
+std::size_t table_lookup(const std::int16_t* table, std::int64_t fmt_bits,
+                         std::int64_t min_raw, std::int64_t max_raw,
+                         std::int64_t one_raw, const char* in, char* out,
+                         std::size_t n) {
+  constexpr std::size_t kBytes = kFixed ? 16 : 8;
+  const __m512i fmt_v = _mm512_set1_epi64(fmt_bits);
+  const __m512i min_v = _mm512_set1_epi64(min_raw);
+  const __m512i max_v = _mm512_set1_epi64(max_raw);
+  const __m512i one_dw = _mm512_set1_epi32(static_cast<int>(one_raw));
+  const bool corr_packed = one_raw != 0;
+  const __m512i vmask = _mm512_set1_epi32(corr_packed ? 0x7FFF : -1);
+  const __m512i cmask = _mm512_set1_epi32(corr_packed ? 1 : 0);
+  const __m512i zero = _mm512_setzero_si512();
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const char* p = in + i * kBytes;
+    __m512i a = zero;  // raws of the first eight elements
+    __m512i b = zero;  // raws of the last eight
+    if constexpr (kFixed) {
+      // Each 64-byte load covers four Fixed: qwords [raw, fmt] × 4.
+      const __m512i v0 = _mm512_loadu_si512(p + 0);
+      const __m512i v1 = _mm512_loadu_si512(p + 64);
+      const __m512i v2 = _mm512_loadu_si512(p + 128);
+      const __m512i v3 = _mm512_loadu_si512(p + 192);
+      a = _mm512_unpacklo_epi64(v0, v1);
+      b = _mm512_unpacklo_epi64(v2, v3);
+      const __mmask8 eq_a =
+          _mm512_cmpeq_epi64_mask(_mm512_unpackhi_epi64(v0, v1), fmt_v);
+      const __mmask8 eq_b =
+          _mm512_cmpeq_epi64_mask(_mm512_unpackhi_epi64(v2, v3), fmt_v);
+      if ((static_cast<unsigned>(eq_a) & static_cast<unsigned>(eq_b)) !=
+          0xFF) {
+        return i;
+      }
+    } else {
+      a = _mm512_loadu_si512(p);
+      b = _mm512_loadu_si512(p + 64);
+      const __mmask8 bad =
+          _mm512_cmplt_epi64_mask(a, min_v) |
+          _mm512_cmpgt_epi64_mask(a, max_v) |
+          _mm512_cmplt_epi64_mask(b, min_v) |
+          _mm512_cmpgt_epi64_mask(b, max_v);
+      if (bad != 0) {
+        return i;
+      }
+    }
+    __m512i vals = zero;
+    if constexpr (kHalf) {
+      // |raw| keeps |min_raw| = max_raw + 1 inside the padded table; the
+      // qword sign masks concatenate into the dword lane mask directly
+      // because compact_qwords preserves lane order.
+      const __mmask8 neg_a = _mm512_cmplt_epi64_mask(a, zero);
+      const __mmask8 neg_b = _mm512_cmplt_epi64_mask(b, zero);
+      const __mmask16 neg16 = static_cast<__mmask16>(
+          (static_cast<unsigned>(neg_b) << 8) | static_cast<unsigned>(neg_a));
+      const __m512i g = gather_i16_512(
+          table, compact_qwords(_mm512_abs_epi64(a), _mm512_abs_epi64(b)),
+          0xFFFF);
+      const __m512i v = _mm512_and_si512(g, vmask);
+      const __m512i corr = _mm512_and_si512(_mm512_srli_epi32(g, 15), cmask);
+      vals = _mm512_mask_add_epi32(v, neg16, _mm512_sub_epi32(one_dw, v),
+                                   corr);
+    } else {
+      vals = gather_i16_512(table,
+                            compact_qwords(_mm512_sub_epi64(a, min_v),
+                                           _mm512_sub_epi64(b, min_v)),
+                            0xFFFF);
+    }
+    const __m512i ys_a = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(vals));
+    const __m512i ys_b =
+        _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(vals, 1));
+    char* q = out + i * kBytes;
+    if constexpr (kFixed) {
+      _mm512_storeu_si512(q + 0, _mm512_unpacklo_epi64(ys_a, fmt_v));
+      _mm512_storeu_si512(q + 64, _mm512_unpackhi_epi64(ys_a, fmt_v));
+      _mm512_storeu_si512(q + 128, _mm512_unpacklo_epi64(ys_b, fmt_v));
+      _mm512_storeu_si512(q + 192, _mm512_unpackhi_epi64(ys_b, fmt_v));
+    } else {
+      _mm512_storeu_si512(q, ys_a);
+      _mm512_storeu_si512(q + 64, ys_b);
+    }
+  }
+  return i;
+}
+
 }  // namespace
 
 std::size_t table_lookup_fixed_avx512(const std::int16_t* table,
                                       std::int64_t fmt_bits,
                                       std::int64_t min_raw, const char* in,
                                       char* out, std::size_t n) {
-  const __m512i fmt_v = _mm512_set1_epi64(fmt_bits);
-  const __m512i min_v = _mm512_set1_epi64(min_raw);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const char* p = in + i * 16;
-    // Each 64-byte load covers four Fixed: qwords [raw, fmt] × 4.
-    const __m512i v0 = _mm512_loadu_si512(p + 0);
-    const __m512i v1 = _mm512_loadu_si512(p + 64);
-    const __m512i v2 = _mm512_loadu_si512(p + 128);
-    const __m512i v3 = _mm512_loadu_si512(p + 192);
-    // unpack splits raws from formats per 128-bit lane pair.
-    const __m512i raws_a = _mm512_unpacklo_epi64(v0, v1);
-    const __m512i raws_b = _mm512_unpacklo_epi64(v2, v3);
-    const __m512i fmts_a = _mm512_unpackhi_epi64(v0, v1);
-    const __m512i fmts_b = _mm512_unpackhi_epi64(v2, v3);
-    const __mmask8 eq_a = _mm512_cmpeq_epi64_mask(fmts_a, fmt_v);
-    const __mmask8 eq_b = _mm512_cmpeq_epi64_mask(fmts_b, fmt_v);
-    if ((static_cast<unsigned>(eq_a) & static_cast<unsigned>(eq_b)) != 0xFF) {
-      // Format mismatch somewhere in this block: no stores were issued, so
-      // the scalar loop can take over at element i and pinpoint it.
-      return i;
-    }
-    const __m512i idx = compact_qwords(_mm512_sub_epi64(raws_a, min_v),
-                                       _mm512_sub_epi64(raws_b, min_v));
-    const __m512i vals = gather_i16_512(table, idx, 0xFFFF);
-    store_fixed16(out + i * 16, vals, fmt_v);
-  }
-  return i;
+  return table_lookup<true, false>(table, fmt_bits, min_raw, 0, 0, in, out,
+                                   n);
 }
 
 std::size_t table_lookup_fixed_avx512_half(const std::int16_t* table,
@@ -112,49 +173,7 @@ std::size_t table_lookup_fixed_avx512_half(const std::int16_t* table,
                                            std::int64_t one_raw,
                                            const char* in, char* out,
                                            std::size_t n) {
-  const __m512i fmt_v = _mm512_set1_epi64(fmt_bits);
-  const __m512i one_dw = _mm512_set1_epi32(static_cast<int>(one_raw));
-  // HalfSigmoid (one_raw != 0) entries are corr-packed (kernels.hpp):
-  // vmask strips the bit-15 correction, cmask gates the +1 term; for
-  // HalfOdd both degenerate to the plain one_raw − v reconstruct.
-  const bool corr_packed = one_raw != 0;
-  const __m512i vmask = _mm512_set1_epi32(corr_packed ? 0x7FFF : -1);
-  const __m512i cmask = _mm512_set1_epi32(corr_packed ? 1 : 0);
-  const __m512i zero = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const char* p = in + i * 16;
-    const __m512i v0 = _mm512_loadu_si512(p + 0);
-    const __m512i v1 = _mm512_loadu_si512(p + 64);
-    const __m512i v2 = _mm512_loadu_si512(p + 128);
-    const __m512i v3 = _mm512_loadu_si512(p + 192);
-    const __m512i raws_a = _mm512_unpacklo_epi64(v0, v1);
-    const __m512i raws_b = _mm512_unpacklo_epi64(v2, v3);
-    const __m512i fmts_a = _mm512_unpackhi_epi64(v0, v1);
-    const __m512i fmts_b = _mm512_unpackhi_epi64(v2, v3);
-    const __mmask8 eq_a = _mm512_cmpeq_epi64_mask(fmts_a, fmt_v);
-    const __mmask8 eq_b = _mm512_cmpeq_epi64_mask(fmts_b, fmt_v);
-    if ((static_cast<unsigned>(eq_a) & static_cast<unsigned>(eq_b)) != 0xFF) {
-      return i;
-    }
-    // |raw| keeps |min_raw| = max_raw + 1 inside the padded table; the
-    // qword sign masks concatenate into the dword lane mask directly
-    // because compact_qwords preserves lane order.
-    const __mmask8 neg_a = _mm512_cmplt_epi64_mask(raws_a, zero);
-    const __mmask8 neg_b = _mm512_cmplt_epi64_mask(raws_b, zero);
-    const __mmask16 neg16 = static_cast<__mmask16>(
-        (static_cast<unsigned>(neg_b) << 8) | static_cast<unsigned>(neg_a));
-    const __m512i idx = compact_qwords(_mm512_abs_epi64(raws_a),
-                                       _mm512_abs_epi64(raws_b));
-    const __m512i vals_g = gather_i16_512(table, idx, 0xFFFF);
-    const __m512i vals = _mm512_and_si512(vals_g, vmask);
-    const __m512i corr =
-        _mm512_and_si512(_mm512_srli_epi32(vals_g, 15), cmask);
-    const __m512i res = _mm512_mask_add_epi32(
-        vals, neg16, _mm512_sub_epi32(one_dw, vals), corr);
-    store_fixed16(out + i * 16, res, fmt_v);
-  }
-  return i;
+  return table_lookup<true, true>(table, fmt_bits, 0, 0, one_raw, in, out, n);
 }
 
 std::size_t table_lookup_raw_avx512(const std::int16_t* table,
@@ -162,32 +181,9 @@ std::size_t table_lookup_raw_avx512(const std::int16_t* table,
                                     std::int64_t max_raw,
                                     const std::int64_t* in, std::int64_t* out,
                                     std::size_t n) {
-  const __m512i min_v = _mm512_set1_epi64(min_raw);
-  const __m512i max_v = _mm512_set1_epi64(max_raw);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i a = _mm512_loadu_si512(in + i);
-    const __m512i b = _mm512_loadu_si512(in + i + 8);
-    const __mmask8 bad =
-        _mm512_cmplt_epi64_mask(a, min_v) |
-        _mm512_cmpgt_epi64_mask(a, max_v) |
-        _mm512_cmplt_epi64_mask(b, min_v) |
-        _mm512_cmpgt_epi64_mask(b, max_v);
-    if (bad != 0) {
-      // Out-of-range raw in this block: nothing stored, the scalar loop
-      // resumes at i and stops exactly at the offending element.
-      return i;
-    }
-    const __m512i idx = compact_qwords(_mm512_sub_epi64(a, min_v),
-                                       _mm512_sub_epi64(b, min_v));
-    const __m512i vals = gather_i16_512(table, idx, 0xFFFF);
-    _mm512_storeu_si512(
-        out + i, _mm512_cvtepi32_epi64(_mm512_castsi512_si256(vals)));
-    _mm512_storeu_si512(
-        out + i + 8,
-        _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(vals, 1)));
-  }
-  return i;
+  return table_lookup<false, false>(table, 0, min_raw, max_raw, 0,
+                                    reinterpret_cast<const char*>(in),
+                                    reinterpret_cast<char*>(out), n);
 }
 
 std::size_t table_lookup_raw_avx512_half(const std::int16_t* table,
@@ -196,44 +192,9 @@ std::size_t table_lookup_raw_avx512_half(const std::int16_t* table,
                                          std::int64_t max_raw,
                                          const std::int64_t* in,
                                          std::int64_t* out, std::size_t n) {
-  const __m512i min_v = _mm512_set1_epi64(min_raw);
-  const __m512i max_v = _mm512_set1_epi64(max_raw);
-  const __m512i one_dw = _mm512_set1_epi32(static_cast<int>(one_raw));
-  const bool corr_packed = one_raw != 0;
-  const __m512i vmask = _mm512_set1_epi32(corr_packed ? 0x7FFF : -1);
-  const __m512i cmask = _mm512_set1_epi32(corr_packed ? 1 : 0);
-  const __m512i zero = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i a = _mm512_loadu_si512(in + i);
-    const __m512i b = _mm512_loadu_si512(in + i + 8);
-    const __mmask8 bad =
-        _mm512_cmplt_epi64_mask(a, min_v) |
-        _mm512_cmpgt_epi64_mask(a, max_v) |
-        _mm512_cmplt_epi64_mask(b, min_v) |
-        _mm512_cmpgt_epi64_mask(b, max_v);
-    if (bad != 0) {
-      return i;
-    }
-    const __mmask8 neg_a = _mm512_cmplt_epi64_mask(a, zero);
-    const __mmask8 neg_b = _mm512_cmplt_epi64_mask(b, zero);
-    const __mmask16 neg16 = static_cast<__mmask16>(
-        (static_cast<unsigned>(neg_b) << 8) | static_cast<unsigned>(neg_a));
-    const __m512i idx =
-        compact_qwords(_mm512_abs_epi64(a), _mm512_abs_epi64(b));
-    const __m512i vals_g = gather_i16_512(table, idx, 0xFFFF);
-    const __m512i vals = _mm512_and_si512(vals_g, vmask);
-    const __m512i corr =
-        _mm512_and_si512(_mm512_srli_epi32(vals_g, 15), cmask);
-    const __m512i res = _mm512_mask_add_epi32(
-        vals, neg16, _mm512_sub_epi32(one_dw, vals), corr);
-    _mm512_storeu_si512(
-        out + i, _mm512_cvtepi32_epi64(_mm512_castsi512_si256(res)));
-    _mm512_storeu_si512(
-        out + i + 8,
-        _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(res, 1)));
-  }
-  return i;
+  return table_lookup<false, true>(table, 0, min_raw, max_raw, one_raw,
+                                   reinterpret_cast<const char*>(in),
+                                   reinterpret_cast<char*>(out), n);
 }
 
 void table_lookup_i32_avx512(const std::int16_t* table,
@@ -252,47 +213,6 @@ void table_lookup_i32_avx512(const std::int16_t* table,
     const __mmask16 k = static_cast<__mmask16>((1u << rem) - 1u);
     const __m512i words = _mm512_maskz_loadu_epi32(k, in + i);
     _mm512_mask_storeu_epi32(out + i, k, gather_i16_512(table, words, k));
-  }
-}
-
-void table_lookup_i32_avx512_half(const std::int16_t* table,
-                                  std::int64_t one_raw, std::int64_t min_raw,
-                                  const std::int32_t* in, std::int32_t* out,
-                                  std::size_t n) {
-  const __m512i min_dw = _mm512_set1_epi32(static_cast<int>(min_raw));
-  const __m512i one_dw = _mm512_set1_epi32(static_cast<int>(one_raw));
-  const bool corr_packed = one_raw != 0;
-  const __m512i vmask = _mm512_set1_epi32(corr_packed ? 0x7FFF : -1);
-  const __m512i cmask = _mm512_set1_epi32(corr_packed ? 1 : 0);
-  const __m512i zero = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i words = _mm512_loadu_si512(in + i);
-    const __m512i raws = _mm512_add_epi32(words, min_dw);
-    const __mmask16 neg = _mm512_cmplt_epi32_mask(raws, zero);
-    const __m512i mag = _mm512_abs_epi32(raws);
-    const __m512i vals_g = gather_i16_512(table, mag, 0xFFFF);
-    const __m512i vals = _mm512_and_si512(vals_g, vmask);
-    const __m512i corr =
-        _mm512_and_si512(_mm512_srli_epi32(vals_g, 15), cmask);
-    _mm512_storeu_si512(
-        out + i, _mm512_mask_add_epi32(
-                     vals, neg, _mm512_sub_epi32(one_dw, vals), corr));
-  }
-  const std::size_t rem = n - i;
-  if (rem != 0) {
-    const __mmask16 k = static_cast<__mmask16>((1u << rem) - 1u);
-    const __m512i words = _mm512_maskz_loadu_epi32(k, in + i);
-    const __m512i raws = _mm512_add_epi32(words, min_dw);
-    const __mmask16 neg = _mm512_cmplt_epi32_mask(raws, zero) & k;
-    const __m512i mag = _mm512_abs_epi32(raws);
-    const __m512i vals_g = gather_i16_512(table, mag, k);
-    const __m512i vals = _mm512_and_si512(vals_g, vmask);
-    const __m512i corr =
-        _mm512_and_si512(_mm512_srli_epi32(vals_g, 15), cmask);
-    _mm512_mask_storeu_epi32(
-        out + i, k, _mm512_mask_add_epi32(
-                        vals, neg, _mm512_sub_epi32(one_dw, vals), corr));
   }
 }
 

@@ -180,46 +180,6 @@ void table_lookup_i32_neon(const std::int16_t* table, const std::int32_t* in,
   }
 }
 
-void table_lookup_i32_neon_half(const std::int16_t* table,
-                                std::int64_t one_raw, std::int64_t min_raw,
-                                const std::int32_t* in, std::int32_t* out,
-                                std::size_t n) {
-  const int32x4_t min_v = vdupq_n_s32(static_cast<std::int32_t>(min_raw));
-  const int32x4_t one_v = vdupq_n_s32(static_cast<std::int32_t>(one_raw));
-  const int32x4_t zero = vdupq_n_s32(0);
-  const bool corr_packed = one_raw != 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const int32x4_t words = vld1q_s32(in + i);
-    const int32x4_t raws = vaddq_s32(words, min_v);
-    const uint32x4_t neg = vcltq_s32(raws, zero);
-    const int32x4_t mag = vabsq_s32(raws);
-    std::int32_t idx[4];
-    vst1q_s32(idx, mag);
-    std::int32_t entry[4];
-    std::int32_t cbits[4];
-    for (int lane = 0; lane < 4; ++lane) {
-      std::int64_t val = 0;
-      std::int64_t corr = 0;
-      half_unpack(table[idx[lane]], corr_packed, val, corr);
-      entry[lane] = static_cast<std::int32_t>(val);
-      cbits[lane] = static_cast<std::int32_t>(corr);
-    }
-    const int32x4_t vals = vld1q_s32(entry);
-    const int32x4_t recon =
-        vaddq_s32(vsubq_s32(one_v, vals), vld1q_s32(cbits));
-    vst1q_s32(out + i, vbslq_s32(neg, recon, vals));
-  }
-  for (; i < n; ++i) {
-    const std::int64_t raw = in[i] + min_raw;
-    const std::int64_t mag = raw < 0 ? -raw : raw;
-    std::int64_t v = 0;
-    std::int64_t c = 0;
-    half_unpack(table[mag], corr_packed, v, c);
-    out[i] = static_cast<std::int32_t>(raw < 0 ? one_raw - v + c : v);
-  }
-}
-
 void qgemm_accumulate_neon(const std::int16_t* packed, std::size_t tiles,
                            std::size_t in_dim, const std::int32_t* x,
                            std::int32_t* acc, int fb, std::int32_t acc_min,

@@ -107,6 +107,72 @@ std::vector<std::int16_t> synthetic_table(std::size_t entries) {
   return table;
 }
 
+/// A Dense TableView over @p table.
+simd::TableView dense_view(const std::int16_t* table) {
+  simd::TableView view;
+  view.entries = table;
+  return view;
+}
+
+/// Synthetic tables over @p fmt's full domain, one per sample layout: a
+/// Dense table, a corr-packed HalfSigmoid half (sample bits [0,14], +1
+/// correction in bit 15, the |min_raw| slot) and a plain HalfOdd half.
+/// views() points into the owned storage.
+struct SyntheticTables {
+  explicit SyntheticTables(fp::Format fmt)
+      : dense(synthetic_table(
+            static_cast<std::size_t>(fmt.max_raw() - fmt.min_raw() + 1))),
+        sig(static_cast<std::size_t>(fmt.max_raw()) + 3, 0),  // padded even
+        odd(synthetic_table(static_cast<std::size_t>(fmt.max_raw()) + 3)),
+        one_raw(std::int32_t{1} << fmt.fractional_bits()) {
+    std::uint32_t h = 0xC0FFEE42u;
+    for (std::size_t k = 0; k + 1 < sig.size(); ++k) {
+      h = h * 1664525u + 1013904223u;
+      const auto sample = static_cast<std::uint16_t>(h >> 17);  // 15 bits
+      const auto corr = static_cast<std::uint16_t>(((h >> 7) & 1u) << 15);
+      sig[k] = static_cast<std::int16_t>(sample | corr);
+    }
+    // The |min_raw| slot is stored pre-inverted with the correction clear.
+    auto& slot = sig[static_cast<std::size_t>(fmt.max_raw()) + 1];
+    slot = static_cast<std::int16_t>(slot & 0x7FFF);
+  }
+
+  /// (label, view) for Dense, HalfSigmoid and HalfOdd, in that order.
+  std::vector<std::pair<const char*, simd::TableView>> views() const {
+    simd::TableView sig_view;
+    sig_view.kind = simd::TableKind::HalfSigmoid;
+    sig_view.entries = sig.data();
+    sig_view.one_raw = one_raw;
+    simd::TableView odd_view;
+    odd_view.kind = simd::TableKind::HalfOdd;
+    odd_view.entries = odd.data();
+    return {{"dense", dense_view(dense.data())},
+            {"half-sigmoid", sig_view},
+            {"half-odd", odd_view}};
+  }
+
+  std::vector<std::int16_t> dense;
+  std::vector<std::int16_t> sig;
+  std::vector<std::int16_t> odd;
+  std::int32_t one_raw;
+};
+
+/// The expected lookup result for every dense-domain word of @p fmt: the
+/// Dense table word itself, or for Half* simd::table_entry_for_word — the
+/// scalar unpack formula core::BatchNacu proves against the datapath at
+/// build time.
+std::vector<std::int64_t> expected_entries(const simd::TableView& view,
+                                           fp::Format fmt) {
+  std::vector<std::int64_t> expected(
+      static_cast<std::size_t>(fmt.max_raw() - fmt.min_raw() + 1));
+  for (std::size_t w = 0; w < expected.size(); ++w) {
+    expected[w] = view.kind == simd::TableKind::Dense
+                      ? view.entries[w]
+                      : simd::table_entry_for_word(view, fmt.min_raw(), w);
+  }
+  return expected;
+}
+
 constexpr BatchNacu::Function kFunctions[] = {BatchNacu::Function::Sigmoid,
                                               BatchNacu::Function::Tanh,
                                               BatchNacu::Function::Exp};
@@ -192,28 +258,29 @@ TEST(SimdKernels, FixedLayoutSupportsTheSpanKernel) {
 }
 
 TEST(SimdKernels, TableLookupFixedExhaustiveBitIdentical) {
+  // Every sample layout: the fused vector bodies share one load/check and
+  // store step across dense and half-range, so each layout gets the sweep.
   const fp::Format fmt = core::config_for_bits(16).format;
-  const auto entries =
-      static_cast<std::size_t>(fmt.max_raw() - fmt.min_raw() + 1);
-  const std::vector<std::int16_t> table = synthetic_table(entries);
+  const SyntheticTables tables{fmt};
   const std::vector<fp::Fixed> xs = full_domain(fmt);
-  for (const simd::Backend backend : backends()) {
-    // Both an aligned run over the whole domain and a deliberately
-    // misaligned one (offset 1, odd length) so every AVX2 head/tail
-    // combination is exercised.
-    for (const std::size_t offset : {std::size_t{0}, std::size_t{1}}) {
-      const std::size_t n = xs.size() - offset - (offset != 0 ? 2 : 0);
-      std::vector<fp::Fixed> out(n, fp::Fixed::zero(fmt));
-      const std::size_t done = simd::table_lookup_fixed(
-          backend, table.data(), fmt, xs.data() + offset, out.data(), n);
-      ASSERT_EQ(done, n) << simd::backend_name(backend);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto word =
-            static_cast<std::size_t>(xs[offset + i].raw() - fmt.min_raw());
-        ASSERT_EQ(out[i].raw(), table[word])
-            << simd::backend_name(backend) << " offset " << offset
-            << " element " << i;
-        ASSERT_EQ(out[i].format(), fmt);
+  for (const auto& [kind, view] : tables.views()) {
+    const std::vector<std::int64_t> expected = expected_entries(view, fmt);
+    for (const simd::Backend backend : backends()) {
+      // Both an aligned run over the whole domain and a deliberately
+      // misaligned one (offset 1, odd length) so every SIMD head/tail
+      // combination is exercised.
+      for (const std::size_t offset : {std::size_t{0}, std::size_t{1}}) {
+        const std::size_t n = xs.size() - offset - (offset != 0 ? 2 : 0);
+        std::vector<fp::Fixed> out(n, fp::Fixed::zero(fmt));
+        const std::size_t done = simd::table_lookup_fixed(
+            backend, view, fmt, xs.data() + offset, out.data(), n);
+        ASSERT_EQ(done, n) << kind << " " << simd::backend_name(backend);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(out[i].raw(), expected[offset + i])
+              << kind << " " << simd::backend_name(backend) << " offset "
+              << offset << " element " << i;
+          ASSERT_EQ(out[i].format(), fmt);
+        }
       }
     }
   }
@@ -222,32 +289,36 @@ TEST(SimdKernels, TableLookupFixedExhaustiveBitIdentical) {
 TEST(SimdKernels, TableLookupFixedStopsAtFirstFormatMismatch) {
   const fp::Format fmt = core::config_for_bits(16).format;
   const fp::Format other{2, 9};
-  const auto entries =
-      static_cast<std::size_t>(fmt.max_raw() - fmt.min_raw() + 1);
-  const std::vector<std::int16_t> table = synthetic_table(entries);
+  const SyntheticTables tables{fmt};
   const std::size_t n = 70;
   const fp::Fixed sentinel = fp::Fixed::from_raw(42, fmt);
-  for (const simd::Backend backend : backends()) {
-    // A mismatch at a block boundary, mid-block, element 0 and the tail —
-    // the kernel must report exactly how many elements it completed and
-    // leave everything at and past the mismatch untouched.
-    for (const std::size_t pos :
-         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
-          std::size_t{9}, std::size_t{31}, n - 1}) {
-      std::vector<fp::Fixed> in(n, fp::Fixed::from_raw(-17, fmt));
-      in[pos] = fp::Fixed::zero(other);
-      std::vector<fp::Fixed> out(n, sentinel);
-      const std::size_t done = simd::table_lookup_fixed(
-          backend, table.data(), fmt, in.data(), out.data(), n);
-      EXPECT_EQ(done, pos) << simd::backend_name(backend);
-      for (std::size_t i = 0; i < pos; ++i) {
-        const auto word = static_cast<std::size_t>(-17 - fmt.min_raw());
-        ASSERT_EQ(out[i].raw(), table[word]) << i;
-      }
-      for (std::size_t i = pos; i < n; ++i) {
-        ASSERT_EQ(out[i].raw(), sentinel.raw())
-            << simd::backend_name(backend) << " clobbered element " << i
-            << " past mismatch at " << pos;
+  // A negative input, so the half layouts take their reconstruct branch.
+  const std::int64_t raw = -17;
+  const auto word = static_cast<std::size_t>(raw - fmt.min_raw());
+  for (const auto& [kind, view] : tables.views()) {
+    const std::int64_t expected = expected_entries(view, fmt)[word];
+    for (const simd::Backend backend : backends()) {
+      // A mismatch at a block boundary, mid-block, element 0 and the tail —
+      // the kernel must report exactly how many elements it completed and
+      // leave everything at and past the mismatch untouched.
+      for (const std::size_t pos :
+           {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+            std::size_t{9}, std::size_t{31}, n - 1}) {
+        std::vector<fp::Fixed> in(n, fp::Fixed::from_raw(raw, fmt));
+        in[pos] = fp::Fixed::zero(other);
+        std::vector<fp::Fixed> out(n, sentinel);
+        const std::size_t done =
+            simd::table_lookup_fixed(backend, view, fmt, in.data(),
+                                     out.data(), n);
+        EXPECT_EQ(done, pos) << kind << " " << simd::backend_name(backend);
+        for (std::size_t i = 0; i < pos; ++i) {
+          ASSERT_EQ(out[i].raw(), expected) << kind << " " << i;
+        }
+        for (std::size_t i = pos; i < n; ++i) {
+          ASSERT_EQ(out[i].raw(), sentinel.raw())
+              << kind << " " << simd::backend_name(backend)
+              << " clobbered element " << i << " past mismatch at " << pos;
+        }
       }
     }
   }
@@ -266,9 +337,9 @@ TEST(SimdKernels, TableLookupRawExhaustiveAndRangeChecked) {
   for (const simd::Backend backend : backends()) {
     std::vector<std::int64_t> out(raws.size(), 0);
     const std::size_t done =
-        simd::table_lookup_raw(backend, table.data(), fmt.min_raw(),
-                               fmt.max_raw(), raws.data(), out.data(),
-                               raws.size());
+        simd::table_lookup_raw(backend, dense_view(table.data()),
+                               fmt.min_raw(), fmt.max_raw(), raws.data(),
+                               out.data(), raws.size());
     ASSERT_EQ(done, raws.size()) << simd::backend_name(backend);
     for (std::size_t i = 0; i < raws.size(); ++i) {
       ASSERT_EQ(out[i], table[i]) << simd::backend_name(backend);
@@ -280,7 +351,7 @@ TEST(SimdKernels, TableLookupRawExhaustiveAndRangeChecked) {
         std::vector<std::int64_t> in(13, 0);
         in[pos] = bad;
         std::vector<std::int64_t> stopped(13, -999);
-        EXPECT_EQ(simd::table_lookup_raw(backend, table.data(),
+        EXPECT_EQ(simd::table_lookup_raw(backend, dense_view(table.data()),
                                          fmt.min_raw(), fmt.max_raw(),
                                          in.data(), stopped.data(), 13),
                   pos)
@@ -318,39 +389,15 @@ TEST(SimdKernels, TableLookupI32MatchesScalarIncludingAliasing) {
 }
 
 TEST(SimdKernels, HalfRangeViewKernelsBitIdenticalAcrossBackends) {
-  // Synthetic Half* views — one corr-packed HalfSigmoid (sample bits
-  // [0,14], +1 correction in bit 15, the |min_raw| slot), one plain
-  // HalfOdd — driven through every view-based lookup entry point on every
-  // backend. The reference is simd::table_entry_for_word: the same scalar
-  // unpack formula core::BatchNacu proves against the datapath at build
-  // time. This pins the vectorised unpack (value/correction masks, sign
-  // select, the slot, heads/tails, aliasing, range stops) to that formula.
+  // The synthetic Half* views — one corr-packed HalfSigmoid, one plain
+  // HalfOdd — driven through both view-based lookup entry points on every
+  // backend against expected_entries. This pins the vectorised unpack
+  // (value/correction masks, sign select, the slot, heads/tails, aliasing,
+  // range stops) to the scalar formula.
   const fp::Format fmt = core::config_for_bits(16).format;
   const std::int64_t max_raw = fmt.max_raw();
   const std::int64_t min_raw = fmt.min_raw();
-  const auto half_len = static_cast<std::size_t>(max_raw) + 3;  // padded even
-
-  std::vector<std::int16_t> sig(half_len, 0);
-  std::uint32_t h = 0xC0FFEE42u;
-  for (std::size_t k = 0; k + 1 < half_len; ++k) {
-    h = h * 1664525u + 1013904223u;
-    const auto sample = static_cast<std::uint16_t>(h >> 17);  // 15 bits
-    const auto corr = static_cast<std::uint16_t>(((h >> 7) & 1u) << 15);
-    sig[k] = static_cast<std::int16_t>(sample | corr);
-  }
-  // The |min_raw| slot is stored pre-inverted with the correction clear.
-  auto& slot = sig[static_cast<std::size_t>(max_raw) + 1];
-  slot = static_cast<std::int16_t>(slot & 0x7FFF);
-  simd::TableView sig_view;
-  sig_view.kind = simd::TableKind::HalfSigmoid;
-  sig_view.entries = sig.data();
-  sig_view.one_raw = std::int32_t{1} << fmt.fractional_bits();
-
-  std::vector<std::int16_t> odd = synthetic_table(half_len);
-  simd::TableView odd_view;
-  odd_view.kind = simd::TableKind::HalfOdd;
-  odd_view.entries = odd.data();
-  odd_view.one_raw = 0;
+  const SyntheticTables tables{fmt};
 
   const std::vector<fp::Fixed> xs = full_domain(fmt);
   std::vector<std::int64_t> raws;
@@ -359,21 +406,18 @@ TEST(SimdKernels, HalfRangeViewKernelsBitIdenticalAcrossBackends) {
     raws.push_back(x.raw());
   }
 
-  for (const simd::TableView* view : {&sig_view, &odd_view}) {
-    const char* kind = view->kind == simd::TableKind::HalfSigmoid
-                           ? "half-sigmoid"
-                           : "half-odd";
-    std::vector<std::int64_t> expected(xs.size());
-    for (std::size_t w = 0; w < xs.size(); ++w) {
-      expected[w] = simd::table_entry_for_word(*view, min_raw, w);
+  for (const auto& [kind, view] : tables.views()) {
+    if (view.kind == simd::TableKind::Dense) {
+      continue;
     }
+    const std::vector<std::int64_t> expected = expected_entries(view, fmt);
     for (const simd::Backend backend : backends()) {
       // Raw path: aligned and misaligned odd-length runs, so every SIMD
       // head/tail combination reconstructs both halves.
       for (const std::size_t offset : {std::size_t{0}, std::size_t{1}}) {
         const std::size_t n = raws.size() - offset - (offset != 0 ? 2 : 0);
         std::vector<std::int64_t> out(n, -12345);
-        ASSERT_EQ(simd::table_lookup_raw(backend, *view, min_raw, max_raw,
+        ASSERT_EQ(simd::table_lookup_raw(backend, view, min_raw, max_raw,
                                          raws.data() + offset, out.data(), n),
                   n)
             << kind << " " << simd::backend_name(backend);
@@ -391,7 +435,7 @@ TEST(SimdKernels, HalfRangeViewKernelsBitIdenticalAcrossBackends) {
           std::vector<std::int64_t> in(13, -3);
           in[pos] = bad;
           std::vector<std::int64_t> stopped(13, -999);
-          EXPECT_EQ(simd::table_lookup_raw(backend, *view, min_raw, max_raw,
+          EXPECT_EQ(simd::table_lookup_raw(backend, view, min_raw, max_raw,
                                            in.data(), stopped.data(), 13),
                     pos)
               << kind << " " << simd::backend_name(backend) << " bad " << bad;
@@ -403,12 +447,12 @@ TEST(SimdKernels, HalfRangeViewKernelsBitIdenticalAcrossBackends) {
       }
       // Fixed path over the full domain, plus exact in/out aliasing.
       std::vector<fp::Fixed> out_fixed(xs.size(), fp::Fixed::zero(fmt));
-      ASSERT_EQ(simd::table_lookup_fixed(backend, *view, fmt, xs.data(),
+      ASSERT_EQ(simd::table_lookup_fixed(backend, view, fmt, xs.data(),
                                          out_fixed.data(), xs.size()),
                 xs.size())
           << kind << " " << simd::backend_name(backend);
       std::vector<fp::Fixed> aliased = xs;
-      ASSERT_EQ(simd::table_lookup_fixed(backend, *view, fmt, aliased.data(),
+      ASSERT_EQ(simd::table_lookup_fixed(backend, view, fmt, aliased.data(),
                                          aliased.data(), aliased.size()),
                 aliased.size())
           << kind << " " << simd::backend_name(backend);
@@ -416,26 +460,6 @@ TEST(SimdKernels, HalfRangeViewKernelsBitIdenticalAcrossBackends) {
         ASSERT_EQ(out_fixed[w].raw(), expected[w])
             << kind << " " << simd::backend_name(backend) << " word " << w;
         ASSERT_EQ(aliased[w].raw(), expected[w])
-            << kind << " " << simd::backend_name(backend) << " aliased";
-      }
-      // i32 word path (dense-domain indices, un-rebased by min_raw inside
-      // the kernel), including in-place aliasing.
-      nn::Rng rng{83};
-      std::vector<std::int32_t> idx(777);
-      for (std::int32_t& v : idx) {
-        v = static_cast<std::int32_t>(rng.below(xs.size()));
-      }
-      std::vector<std::int32_t> out32(idx.size(), 0);
-      simd::table_lookup_i32(backend, *view, min_raw, idx.data(),
-                             out32.data(), idx.size());
-      std::vector<std::int32_t> inplace = idx;
-      simd::table_lookup_i32(backend, *view, min_raw, inplace.data(),
-                             inplace.data(), inplace.size());
-      for (std::size_t i = 0; i < idx.size(); ++i) {
-        const auto w = static_cast<std::size_t>(idx[i]);
-        ASSERT_EQ(out32[i], static_cast<std::int32_t>(expected[w]))
-            << kind << " " << simd::backend_name(backend) << " index " << i;
-        ASSERT_EQ(inplace[i], static_cast<std::int32_t>(expected[w]))
             << kind << " " << simd::backend_name(backend) << " aliased";
       }
     }
@@ -703,33 +727,28 @@ TEST(SimdDifferential, TableModesLandOnTheirCompressedLayouts) {
 TEST(SimdDifferential, FusedSoftmaxBitIdenticalAcrossBackendsAndConfigs) {
   for (const auto& [name, config] : config_variants()) {
     const Nacu scalar{config};
-    BatchNacu::Options scalar_options;
-    scalar_options.backend = simd::Backend::Scalar;
-    const BatchNacu batch_scalar{config, scalar_options};
-    BatchNacu::Options simd_options;
-    simd_options.backend = simd::Backend::Avx2;
-    const BatchNacu batch_simd{config, simd_options};
-    batch_scalar.warm(BatchNacu::Function::Exp);
-    batch_simd.warm(BatchNacu::Function::Exp);
-    nn::Rng rng{73};
-    for (const std::size_t n :
-         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{17},
-          std::size_t{64}, std::size_t{257}}) {
-      std::vector<fp::Fixed> xs;
-      for (std::size_t i = 0; i < n; ++i) {
-        xs.push_back(
-            fp::Fixed::from_double(rng.uniform(-8.0, 8.0), config.format));
-      }
-      const std::vector<fp::Fixed> expected = scalar.softmax(xs);
-      const std::vector<fp::Fixed> got_scalar = batch_scalar.softmax(xs);
-      const std::vector<fp::Fixed> got_simd = batch_simd.softmax(xs);
-      ASSERT_EQ(got_scalar.size(), expected.size());
-      ASSERT_EQ(got_simd.size(), expected.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got_scalar[i].raw(), expected[i].raw())
-            << name << " n " << n << " element " << i;
-        ASSERT_EQ(got_simd[i].raw(), expected[i].raw())
-            << name << " n " << n << " element " << i;
+    for (const simd::Backend backend : backends()) {
+      BatchNacu::Options options;
+      options.backend = backend;
+      const BatchNacu batch{config, options};
+      batch.warm(BatchNacu::Function::Exp);
+      nn::Rng rng{73};
+      for (const std::size_t n :
+           {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{17},
+            std::size_t{64}, std::size_t{257}}) {
+        std::vector<fp::Fixed> xs;
+        for (std::size_t i = 0; i < n; ++i) {
+          xs.push_back(
+              fp::Fixed::from_double(rng.uniform(-8.0, 8.0), config.format));
+        }
+        const std::vector<fp::Fixed> expected = scalar.softmax(xs);
+        const std::vector<fp::Fixed> got = batch.softmax(xs);
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i].raw(), expected[i].raw())
+              << name << " " << simd::backend_name(backend) << " n " << n
+              << " element " << i;
+        }
       }
     }
   }
