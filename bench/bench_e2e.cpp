@@ -3,9 +3,9 @@
 //
 // bench_serving.cpp measures the in-process serving layer (submit() to
 // future); this bench adds everything a deployment actually pays for —
-// frame encode/decode, kernel socket buffers, the per-connection reader
-// and writer threads, response ordering — by driving src/net/ NetServer
-// over loopback with the src/net/ Client. Three load shapes plus one
+// frame encode/decode, kernel socket buffers, the event loops and their
+// completion hand-off, response ordering — by driving src/net/ NetServer
+// over loopback with the src/net/ Client. Four load shapes plus one
 // correctness gate:
 //
 //   steady  — closed loop: N clients each keep a fixed window of
@@ -20,6 +20,13 @@
 //   diurnal — open loop with a sinusoidal arrival-rate ramp across the
 //             run: the smallest honest stand-in for a day of traffic
 //             against an autoscaling-free fixed shard count.
+//   idle    — the C10K shape: 1,000 connections (200 with --quick) that
+//             read their Hello and then sit idle, plus 4 bursty clients
+//             that pipeline bursts of requests with idle gaps between.
+//             Reports the bursty clients' requests/s and p50/p99 ns, and
+//             the server's thread count with every connection open. It
+//             is also a GATE: the bench exits 1 if opening the idle
+//             connections added more than 2 threads to the server.
 //   drain   — closed-loop load with a mid-flight NetServer::shutdown().
 //             This is a GATE, not a measurement: the bench exits 1
 //             unless every request the server accepted was answered on
@@ -31,8 +38,9 @@
 //   ./bench_e2e [--trials N] [--quick]   # --quick: CI smoke sizing
 //
 // Writes BENCH_e2e.json (schema nacu-bench-e2e-v1): one record per
-// (shape, clients) cell — requests/s and client-observed p50/p99 ns —
-// plus the drain gate record. Machine-dependent metrics are --ignore'd
+// (shape, clients) cell — requests/s and client-observed p50/p99 ns, plus
+// server_threads on the idle cell, which is keyed by its 4 bursty
+// clients — plus the drain gate record. Machine-dependent metrics are --ignore'd
 // by CI but required structurally via bench_compare.py --require-metric
 // (see docs/BENCHMARKS.md).
 #include <algorithm>
@@ -42,6 +50,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <fstream>
+#include <latch>
+#include <memory>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -268,6 +280,98 @@ std::vector<std::int64_t> diurnal_schedule(std::size_t total,
   return schedule;
 }
 
+// --- idle: the C10K shape -------------------------------------------------
+
+/// The process's thread count (/proc/self/status "Threads:"), 0 if unread.
+std::size_t process_threads() {
+  std::ifstream status{"/proc/self/status"};
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoul(line.substr(8));
+    }
+  }
+  return 0;
+}
+
+struct IdleCell {
+  Cell cell;
+  std::size_t server_threads = 0;  ///< with every connection open
+  bool threads_flat = false;  ///< idle connections added <= 2 threads
+};
+
+/// @p idle connections that read their Hello and then sit open, plus
+/// @p bursty clients, each sending @p bursts bursts of kWindow pipelined
+/// requests with a 1 ms pause between bursts. Latency is per request from
+/// its send; requests/s counts the pauses. The server's threads are the
+/// process's minus this bench's own (main + bursty clients), sampled once
+/// every connection is open and the bursty clients are running.
+IdleCell run_idle(std::uint16_t port, std::size_t idle, std::size_t bursty,
+                  std::size_t bursts, const fp::Format& fmt) {
+  IdleCell out;
+  const std::size_t own_threads = 1 + bursty;
+  const std::size_t threads_before = process_threads() - 1;
+  std::vector<std::unique_ptr<net::Client>> sleepers;
+  sleepers.reserve(idle);
+  for (std::size_t i = 0; i < idle; ++i) {
+    sleepers.push_back(std::make_unique<net::Client>(port));
+  }
+  const std::vector<fp::Fixed> input = make_input(fmt);
+  std::vector<std::vector<std::uint64_t>> latencies(bursty);
+  std::latch connected{static_cast<std::ptrdiff_t>(bursty)};
+  std::vector<std::thread> threads;
+  const auto start = Clock::now();
+  for (std::size_t c = 0; c < bursty; ++c) {
+    threads.emplace_back([&, c] {
+      net::Client client{port};
+      connected.count_down();
+      if (!client.valid()) {
+        return;
+      }
+      std::deque<Clock::time_point> sent_at;
+      for (std::size_t b = 0; b < bursts; ++b) {
+        for (std::size_t k = 0; k < kWindow; ++k) {
+          if (client.send_submit(static_cast<Function>((c + k) % 3), input) ==
+              0) {
+            return;
+          }
+          sent_at.push_back(Clock::now());
+        }
+        for (std::size_t k = 0; k < kWindow; ++k) {
+          const auto response = client.read_response();
+          if (!response.has_value() || !response->ok()) {
+            return;
+          }
+          latencies[c].push_back(static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  Clock::now() - sent_at.front())
+                  .count()));
+          sent_at.pop_front();
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds{1});
+      }
+    });
+  }
+  connected.wait();
+  out.server_threads = process_threads() - own_threads;
+  out.threads_flat = out.server_threads <= threads_before + 2;
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  const double secs =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  std::size_t valid = 0;
+  for (const auto& sleeper : sleepers) {
+    valid += sleeper->valid() ? 1 : 0;
+  }
+  out.threads_flat = out.threads_flat && valid == idle;
+  std::vector<std::uint64_t> all;
+  for (auto& v : latencies) {
+    all.insert(all.end(), v.begin(), v.end());
+  }
+  out.cell = summarize(all, secs);
+  return out;
+}
+
 // --- drain: the correctness gate ------------------------------------------
 
 /// Closed-loop load with a shutdown fired mid-flight. Returns true when
@@ -429,6 +533,31 @@ int main(int argc, char** argv) {
     server.shutdown();
   }
 
+  bool idle_flat = false;
+  {
+    serve::InferenceServer inference{config, serving_options()};
+    net::NetServer server{inference};
+    const std::size_t idle = quick ? 200 : 1000;
+    const IdleCell idle_cell = run_idle(server.port(), idle, 4,
+                                        quick ? 50 : 200, config.format);
+    print_cell("idle", idle, idle_cell.cell);
+    std::printf("  idle    server threads with %zu connections open: %zu "
+                "-> %s\n",
+                idle + 4, idle_cell.server_threads,
+                idle_cell.threads_flat ? "OK" : "FAILED");
+    // Keyed by the 4 bursty clients, so the --quick run (200 idle) and
+    // the full baseline (1,000 idle) compare as one record.
+    writer.add(benchjson::Record{}
+                   .add("bench", "e2e_idle")
+                   .add("clients", std::size_t{4})
+                   .add("requests_per_s", idle_cell.cell.requests_per_s)
+                   .add("p50_ns", static_cast<std::size_t>(idle_cell.cell.p50_ns))
+                   .add("p99_ns", static_cast<std::size_t>(idle_cell.cell.p99_ns))
+                   .add("server_threads", idle_cell.server_threads));
+    idle_flat = idle_cell.threads_flat;
+    server.shutdown();
+  }
+
   const bool drained = run_drain_gate(config, 4, writer);
 
   if (!writer.write("BENCH_e2e.json")) {
@@ -440,6 +569,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "error: drain gate failed — accepted requests went "
                  "unanswered on the wire\n");
+    return 1;
+  }
+  if (!idle_flat) {
+    std::fprintf(stderr,
+                 "error: idle gate failed — idle connections cost server "
+                 "threads (or could not connect)\n");
     return 1;
   }
   return 0;

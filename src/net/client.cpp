@@ -6,14 +6,11 @@
 namespace nacu::net {
 
 Client::Client(std::uint16_t port) : socket_{connect_loopback(port)} {
-  if (!socket_.valid()) {
+  const auto hello = socket_.valid() ? read_payload() : std::nullopt;
+  if (!hello) {
     return;
   }
-  FrameRead hello = read_frame(socket_);
-  if (hello.status != FrameRead::Status::kOk) {
-    return;
-  }
-  ByteReader r{std::span<const std::uint8_t>{hello.payload}};
+  ByteReader r{*hello};
   const auto opcode = r.u8();
   const auto version = r.u8();
   const auto ib = r.u8();
@@ -26,8 +23,25 @@ Client::Client(std::uint16_t port) : socket_{connect_loopback(port)} {
   valid_ = true;
 }
 
-std::uint64_t Client::send(std::vector<std::uint8_t> frame) {
-  if (!valid_ || !write_frame(socket_, frame)) {
+std::optional<std::span<const std::uint8_t>> Client::read_payload() {
+  std::span<const std::uint8_t> payload;
+  for (;;) {
+    switch (in_.next(payload, kMaxFrameBytes)) {
+      case FrameBuffer::Next::kFrame:
+        return payload;
+      case FrameBuffer::Next::kBroken:
+        return std::nullopt;
+      case FrameBuffer::Next::kNeedMore:
+        if (in_.fill(socket_) == FrameBuffer::Fill::kClosed) {
+          return std::nullopt;
+        }
+        break;
+    }
+  }
+}
+
+std::uint64_t Client::send(const std::vector<std::uint8_t>& frame) {
+  if (!valid_ || !socket_.send_all(frame.data(), frame.size())) {
     return 0;
   }
   return next_id_++;
@@ -64,11 +78,11 @@ std::optional<Client::Response> Client::read_response() {
   if (!valid_) {
     return std::nullopt;
   }
-  FrameRead frame = read_frame(socket_);
-  if (frame.status != FrameRead::Status::kOk) {
+  const auto payload = read_payload();
+  if (!payload) {
     return std::nullopt;
   }
-  ByteReader r{std::span<const std::uint8_t>{frame.payload}};
+  ByteReader r{*payload};
   const auto opcode = r.u8();
   const auto id = r.u64();
   if (!opcode || !id) {
@@ -77,33 +91,20 @@ std::optional<Client::Response> Client::read_response() {
   Response response;
   response.id = *id;
   switch (static_cast<Opcode>(*opcode)) {
-    case Opcode::kResultFixed: {
-      const auto count = r.u32();
-      if (!count) {
-        return std::nullopt;
-      }
-      response.values.reserve(*count);
-      for (std::uint32_t i = 0; i < *count; ++i) {
-        const auto raw = r.i64();
-        if (!raw) {
-          return std::nullopt;
-        }
-        response.values.push_back(fp::Fixed::from_raw(*raw, format_));
-      }
-      return response;
-    }
+    case Opcode::kResultFixed:
     case Opcode::kResultF64: {
       const auto count = r.u32();
-      if (!count) {
+      if (!count || r.remaining() < std::size_t{*count} * 8) {
         return std::nullopt;
       }
-      response.doubles.reserve(*count);
+      const bool fixed = static_cast<Opcode>(*opcode) == Opcode::kResultFixed;
+      fixed ? response.values.reserve(*count) : response.doubles.reserve(*count);
       for (std::uint32_t i = 0; i < *count; ++i) {
-        const auto v = r.f64();
-        if (!v) {
-          return std::nullopt;
+        if (fixed) {
+          response.values.push_back(fp::Fixed::from_raw(*r.i64(), format_));
+        } else {
+          response.doubles.push_back(*r.f64());
         }
-        response.doubles.push_back(*v);
       }
       return response;
     }
@@ -115,8 +116,8 @@ std::optional<Client::Response> Client::read_response() {
       }
       response.error = static_cast<ErrorCode>(*code);
       response.message.assign(
-          reinterpret_cast<const char*>(frame.payload.data() +
-                                        (frame.payload.size() - r.remaining())),
+          reinterpret_cast<const char*>(payload->data() +
+                                        (payload->size() - r.remaining())),
           *length);
       return response;
     }

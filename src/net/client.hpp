@@ -9,7 +9,8 @@
 // split API to keep many requests in flight per connection.
 //
 // Not internally synchronised: one Client per thread (the bench's model),
-// or external locking. close_send() half-closes the socket — the server
+// or one sender plus one reader thread, whose send and read paths touch
+// disjoint state. close_send() half-closes the socket — the server
 // reads EOF, drains every response still owed, then closes; this is how
 // a closed-loop client participates in a graceful drain.
 #pragma once
@@ -70,13 +71,18 @@ class Client {
   void close_send() { socket_.shutdown_send(); }
   void close() { socket_.close(); }
 
-  /// Escape hatch for protocol-robustness tests: the raw socket.
+  /// Escape hatch for protocol-robustness tests: the raw socket, for
+  /// writing only — every read goes through the reassembly buffer.
   [[nodiscard]] Socket& socket() noexcept { return socket_; }
 
  private:
-  [[nodiscard]] std::uint64_t send(std::vector<std::uint8_t> frame);
+  [[nodiscard]] std::uint64_t send(const std::vector<std::uint8_t>& frame);
+  /// The next frame's payload, blocking (valid until the next read);
+  /// nullopt once the stream ended or broke.
+  [[nodiscard]] std::optional<std::span<const std::uint8_t>> read_payload();
 
   Socket socket_;
+  FrameBuffer in_;
   bool valid_ = false;
   fp::Format format_{4, 11};
   std::uint64_t next_id_ = 1;

@@ -1,48 +1,38 @@
 // The network edge: a TCP front-end over serve::InferenceServer.
 //
-// Eight PRs of serving machinery end at std::future; this layer turns it
-// into an actual server. One accept-loop thread hands each connection a
-// reader thread and a writer thread:
+// A fixed set of event loops — one per inference shard — owns every
+// socket, so the thread count does not depend on the connection count.
+// Loop 0 also owns the listener and deals accepted connections
+// round-robin. Each loop waits in epoll on its non-blocking sockets plus
+// an eventfd. A readable socket gets one recv into its reassembly buffer,
+// then every complete frame in it is decoded and submitted, each
+// reserving the connection's next response slot; rejections fill the slot
+// with a typed error frame at once. A request's completion runs on a
+// dispatcher thread: it encodes the result into its slot and wakes the
+// loop (through the eventfd, unless the connection is already queued),
+// which writes the ready prefix of the slots with one sendmsg. Responses
+// thus leave each connection in submission order, however the shards
+// batch, steal, retry or hedge. src/net/README.md walks the lifecycle.
 //
-//   reader: read frame → decode (wire.hpp) → InferenceServer::submit /
-//           submit_softmax / submit_mlp → push the future onto the
-//           connection's pending queue. Admission rejections (Overloaded,
-//           Quota, Deadline, Shutdown — thrown from submit) become typed
-//           error frames without ever entering the pending queue's future
-//           path; malformed-but-framed payloads become kBadRequest frames
-//           and the connection keeps serving.
-//   writer: pop pending responses in submission order, future.get() each,
-//           write a ResultFixed/ResultF64 frame — or map the exception
-//           (DeadlineExpiredError, ShardFailedError, per-request input
-//           errors) onto an Error frame. Responses therefore stream back
-//           per connection in exactly the order requests were submitted,
-//           while the inference layer batches, steals, retries, and hedges
-//           them across shards in any order it likes.
-//
-// Graceful drain rides the InferenceServer::shutdown() contract:
-// NetServer::shutdown() stops accepting, shuts down the inference layer
-// (every accepted future becomes ready — the drain guarantee), then
-// wakes each reader (SHUT_RD), lets it exit, and joins each writer only
-// after the pending queue is empty — so every request that reached the
-// inference layer is answered on the wire before its socket closes.
-// The closed-loop gate in bench_e2e asserts exactly this:
-// stats().requests_submitted == stats().responses_written after a
-// shutdown under steady load, with clients holding their sockets open.
+// Graceful drain: shutdown() closes the listener, shuts down the
+// inference layer (after which every accepted request's completion has
+// run), lets each loop answer the frames still buffered (ShutdownError),
+// flushes every connection until its slots are empty or its peer is
+// gone, then closes the sockets and joins the loops. bench_e2e gates
+// requests_submitted == responses_written after a shutdown under load.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <future>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <thread>
-#include <condition_variable>
-#include <variant>
+#include <semaphore>
+#include <span>
+#include <vector>
 
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "serve/server.hpp"
 
 namespace nacu::net {
@@ -57,7 +47,7 @@ struct NetServerOptions {
   const nn::QuantizedMlp* mlp = nullptr;
 };
 
-/// Map a caught exception from submit / future.get() onto its wire code.
+/// Map a caught exception from submit or a completion onto its wire code.
 /// serve:: error types map one-to-one; std::out_of_range /
 /// std::invalid_argument (a raw outside the datapath format) map to
 /// kBadRequest; anything else to kInternal.
@@ -76,7 +66,7 @@ class NetServer {
   NetServer& operator=(const NetServer&) = delete;
 
   [[nodiscard]] bool running() const noexcept {
-    return listening_ && !stopping_.load(std::memory_order_acquire);
+    return listening_ && phase_.load(std::memory_order_acquire) == 0;
   }
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
@@ -84,87 +74,85 @@ class NetServer {
   /// response frame onto its socket, join everything. Idempotent.
   void shutdown();
 
-  /// Always-on per-server tallies (mirroring InferenceServer::Counters'
-  /// role): the drain guarantee is the invariant
-  /// requests_submitted == responses_written after shutdown() when no
-  /// client vanished mid-response (write_failures == 0).
+  /// Always-on per-server tallies, each mirrored by the obs:: counter of
+  /// the same name under net.*. After shutdown() every submitted request
+  /// was either written or lost: requests_submitted == responses_written +
+  /// write_failures, and the drain guarantee is write_failures == 0 when
+  /// no client vanished mid-response.
   struct Stats {
-    std::uint64_t connections = 0;      ///< accepted sockets
-    std::uint64_t frames_read = 0;      ///< well-framed payloads received
-    std::uint64_t requests_submitted = 0;  ///< futures obtained from serve
-    std::uint64_t responses_written = 0;   ///< result/error frames answering
-                                           ///< a submitted future
-    std::uint64_t immediate_errors = 0;  ///< error frames for requests that
-                                         ///< never produced a future
+    std::uint64_t connections = 0;         ///< accepted sockets
+    std::uint64_t frames_read = 0;         ///< well-framed payloads received
+    std::uint64_t requests_submitted = 0;  ///< requests serve accepted
+    std::uint64_t responses_written = 0;   ///< frames answering those
+    std::uint64_t immediate_errors = 0;  ///< error frames for requests serve
+                                         ///< never accepted
     std::uint64_t protocol_errors = 0;  ///< connections killed by broken
                                         ///< framing (bad length prefix /
                                         ///< EOF mid-frame)
-    std::uint64_t write_failures = 0;  ///< frames lost to a vanished client
+    std::uint64_t write_failures = 0;  ///< answers to submitted requests
+                                       ///< lost to a vanished client
   };
   [[nodiscard]] Stats stats() const;
 
  private:
-  /// One response owed to the client, in submission order. Futures are
-  /// resolved by the writer thread (get() blocks until the inference
-  /// layer fulfils the promise — shutdown's drain guarantees it will).
-  struct PendingFixed {
-    std::uint64_t id;
-    std::future<std::vector<fp::Fixed>> future;
-  };
-  struct PendingF64 {
-    std::uint64_t id;
-    std::future<std::vector<double>> future;
-  };
-  struct PendingError {
-    std::uint64_t id;
-    ErrorCode code;
-    std::string message;
-  };
-  using Pending = std::variant<PendingFixed, PendingF64, PendingError>;
+  struct Slot;
+  struct Connection;
+  struct Loop;
+  using ConnectionPtr = std::shared_ptr<Connection>;
 
-  struct Connection {
-    Socket socket;
-    std::thread reader;
-    std::thread writer;
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<Pending> pending;  ///< FIFO — submission order
-    bool reader_done = false;     ///< no more pending will be pushed
-    bool write_failed = false;    ///< client gone; drop instead of send
-    std::atomic<int> live_threads{2};  ///< reapable at 0
+  /// One Stats field and its obs:: counter, bumped together.
+  struct Tally {
+    explicit Tally(std::string_view name) : metric{obs::counter(name)} {}
+    void add() noexcept {
+      value.fetch_add(1, std::memory_order_relaxed);
+      metric.add();
+    }
+    std::atomic<std::uint64_t> value{0};
+    obs::Counter& metric;
   };
 
-  void accept_loop();
-  void reader_loop(Connection& conn);
-  void writer_loop(Connection& conn);
-  /// Decode one framed payload and act on it. False only when the
-  /// connection must close (unparseable beyond recovery is *not* such a
-  /// case — framing intact means the stream is still synchronised).
-  void handle_frame(Connection& conn, const std::vector<std::uint8_t>& payload);
-  void push_pending(Connection& conn, Pending pending);
-  /// Join and erase connections whose threads have both exited.
-  void reap_connections(bool all);
+  void run_loop(Loop& loop);
+  void accept_all(Loop& loop);
+  void adopt(Loop& loop, ConnectionPtr conn);
+  /// Take what completions and loop 0 posted: new connections, and
+  /// connections with freshly completed slots (then flushed).
+  void take_posted(Loop& loop);
+  /// Read and submit until the socket would block — or, unless
+  /// @p until_empty, until a recv leaves free space in the buffer.
+  void read_some(Connection& conn, bool until_empty);
+  /// Decode one framed payload and act on it: submit it, or fill its slot
+  /// with an error frame (framing intact means the stream is still
+  /// synchronised, so the connection keeps serving).
+  void handle_frame(Connection& conn, std::span<const std::uint8_t> payload);
+  /// Write the ready prefix of the slots, then close the connection if it
+  /// has nothing left to do, or wait for EPOLLOUT if the socket is full.
+  void flush(Loop& loop, Connection& conn);
+  /// The completion that encodes a result into @p slot and wakes the loop.
+  template <typename T>
+  serve::Completion<T> completion(Connection& conn, Slot& slot);
 
   serve::InferenceServer& inference_;
   NetServerOptions options_;
-  Listener listener_;
-  bool listening_ = false;
   std::uint16_t port_ = 0;
+  Socket listener_;  ///< loop 0's once serving starts
+  bool listening_ = false;
+  std::vector<std::uint8_t> hello_;
 
-  std::thread acceptor_;
-  std::mutex connections_mutex_;
-  std::list<std::unique_ptr<Connection>> connections_;
-
-  std::atomic<bool> stopping_{false};
+  /// 0 serving, 1 closing the listener, 2 draining.
+  std::atomic<int> phase_{0};
+  std::binary_semaphore listener_closed_{0};
   std::once_flag shutdown_once_;
 
-  std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> frames_read_{0};
-  std::atomic<std::uint64_t> requests_submitted_{0};
-  std::atomic<std::uint64_t> responses_written_{0};
-  std::atomic<std::uint64_t> immediate_errors_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> write_failures_{0};
+  Tally connections_{"net.connections"};
+  Tally frames_read_{"net.frames_read"};
+  Tally requests_submitted_{"net.requests_submitted"};
+  Tally responses_written_{"net.responses_written"};
+  Tally immediate_errors_{"net.immediate_errors"};
+  Tally protocol_errors_{"net.protocol_errors"};
+  Tally write_failures_{"net.write_failures"};
+
+  std::vector<std::unique_ptr<Loop>> loops_;  ///< threads use all the above
+  std::size_t next_loop_ = 0;  ///< loop 0's round-robin cursor
 };
 
 }  // namespace nacu::net

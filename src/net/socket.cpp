@@ -3,15 +3,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
 namespace nacu::net {
-
 Socket& Socket::operator=(Socket&& other) noexcept {
   if (this != &other) {
     close();
@@ -40,35 +39,9 @@ bool Socket::send_all(const void* data, std::size_t n) const {
   return true;
 }
 
-Socket::Read Socket::read_exact(void* data, std::size_t n) const {
-  auto* p = static_cast<std::uint8_t*>(data);
-  const std::size_t want = n;
-  while (n > 0) {
-    const ssize_t got = ::recv(fd_, p, n, 0);
-    if (got < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return n == want ? Read::kEof : Read::kTorn;
-    }
-    if (got == 0) {
-      return n == want ? Read::kEof : Read::kTorn;
-    }
-    p += got;
-    n -= static_cast<std::size_t>(got);
-  }
-  return Read::kOk;
-}
-
 void Socket::shutdown_send() const noexcept {
   if (fd_ >= 0) {
     ::shutdown(fd_, SHUT_WR);
-  }
-}
-
-void Socket::shutdown_receive() const noexcept {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RD);
   }
 }
 
@@ -79,47 +52,61 @@ void Socket::close() noexcept {
   }
 }
 
-FrameRead read_frame(const Socket& socket, std::size_t max_frame_bytes) {
-  FrameRead result;
-  std::uint8_t prefix[kLengthPrefixBytes];
-  switch (socket.read_exact(prefix, sizeof prefix)) {
-    case Socket::Read::kOk:
-      break;
-    case Socket::Read::kEof:
-      result.status = FrameRead::Status::kEof;
-      return result;
-    case Socket::Read::kTorn:
-      result.status = FrameRead::Status::kBroken;
-      return result;
+FrameBuffer::Fill FrameBuffer::fill(const Socket& socket) {
+  // Room for the whole frame whose prefix is buffered, else the initial
+  // size. Compacting moves only the unconsumed tail — a partial frame.
+  std::size_t want = kInitialBytes;
+  if (end_ - begin_ >= kLengthPrefixBytes) {
+    std::uint32_t length = 0;
+    std::memcpy(&length, bytes_.data() + begin_, kLengthPrefixBytes);
+    want = std::max(want, kLengthPrefixBytes + length);
+  }
+  if (begin_ > 0) {
+    std::memmove(bytes_.data(), bytes_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  if (bytes_.size() < want) {
+    bytes_.resize(want);
+  }
+  for (;;) {
+    const ssize_t got =
+        ::recv(socket.fd(), bytes_.data() + end_, bytes_.size() - end_, 0);
+    if (got > 0) {
+      end_ += static_cast<std::size_t>(got);
+      return end_ == bytes_.size() ? Fill::kFilled : Fill::kSome;
+    }
+    if (got < 0 && errno == EINTR) {
+      continue;
+    }
+    return got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)
+               ? Fill::kWouldBlock
+               : Fill::kClosed;
+  }
+}
+
+FrameBuffer::Next FrameBuffer::next(std::span<const std::uint8_t>& payload,
+                                    std::size_t max_frame_bytes) {
+  if (end_ - begin_ < kLengthPrefixBytes) {
+    return Next::kNeedMore;
   }
   std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<std::uint32_t>(prefix[i]) << (8 * i);
-  }
+  std::memcpy(&length, bytes_.data() + begin_, kLengthPrefixBytes);
   if (length == 0 || length > max_frame_bytes) {
-    result.status = FrameRead::Status::kBroken;
-    return result;
+    return Next::kBroken;
   }
-  result.payload.resize(length);
-  if (socket.read_exact(result.payload.data(), result.payload.size()) !=
-      Socket::Read::kOk) {
-    result.status = FrameRead::Status::kBroken;
-    result.payload.clear();
-    return result;
+  if (end_ - begin_ - kLengthPrefixBytes < length) {
+    return Next::kNeedMore;
   }
-  result.status = FrameRead::Status::kOk;
-  return result;
+  payload = {bytes_.data() + begin_ + kLengthPrefixBytes, length};
+  begin_ += kLengthPrefixBytes + length;
+  return Next::kFrame;
 }
 
-bool write_frame(const Socket& socket,
-                 const std::vector<std::uint8_t>& frame) {
-  return socket.send_all(frame.data(), frame.size());
-}
-
-Listener::Listener(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+Socket listen_loopback(std::uint16_t port, std::uint16_t& bound_port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) {
-    return;
+    return Socket{};
   }
   Socket sock{fd};
   const int one = 1;
@@ -129,38 +116,27 @@ Listener::Listener(std::uint16_t port) {
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-    return;
-  }
-  if (::listen(fd, SOMAXCONN) != 0) {
-    return;
-  }
   sockaddr_in bound{};
   socklen_t len = sizeof bound;
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-    return;
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::listen(fd, SOMAXCONN) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
+    return Socket{};
   }
-  port_ = ntohs(bound.sin_port);
-  socket_ = std::move(sock);
+  bound_port = ntohs(bound.sin_port);
+  return sock;
 }
 
-std::optional<Socket> Listener::accept(int timeout_ms) {
-  if (!socket_.valid()) {
-    return std::nullopt;
+Socket accept_nonblocking(const Socket& listener) {
+  int fd = -1;
+  do {
+    fd = ::accept4(listener.fd(), nullptr, nullptr, SOCK_NONBLOCK);
+  } while (fd < 0 && (errno == EINTR || errno == ECONNABORTED));
+  if (fd >= 0) {
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   }
-  pollfd pfd{socket_.fd(), POLLIN, 0};
-  const int ready = ::poll(&pfd, 1, timeout_ms);
-  if (ready <= 0) {
-    return std::nullopt;
-  }
-  const int fd = ::accept(socket_.fd(), nullptr, nullptr);
-  if (fd < 0) {
-    return std::nullopt;
-  }
-  Socket conn{fd};
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return conn;
+  return Socket{fd};
 }
 
 Socket connect_loopback(std::uint16_t port) {

@@ -1,24 +1,24 @@
 // Thin RAII wrappers over POSIX TCP sockets — everything the net layer
-// needs and nothing more: a movable owning fd, short-read/short-write
-// loops that survive EINTR, a loopback listener with a poll()-based
-// accept so shutdown is a flag check away, and frame-level read/write
-// built on the wire.hpp length prefix.
+// needs and nothing more: a movable owning fd, a short-write loop that
+// survives EINTR, a non-blocking loopback listener, and FrameBuffer, the
+// reassembly buffer both ends read frames through.
 //
-// All operations are blocking; concurrency comes from the thread-per-
-// connection model in net/server.cpp, not from non-blocking I/O. SIGPIPE
-// is suppressed per send (MSG_NOSIGNAL) so a client that vanished mid
-// response surfaces as an error return, never a process signal.
+// The server's sockets are non-blocking and driven by its event loops
+// (net/server.cpp); the client's stay blocking. SIGPIPE is suppressed per
+// send (MSG_NOSIGNAL) so a client that vanished mid response surfaces as
+// an error return, never a process signal.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "net/wire.hpp"
 
 namespace nacu::net {
 
-/// Owning socket fd. Move-only; close on destruction.
+/// Owning fd (a socket, or the server's epoll/eventfd). Move-only; close
+/// on destruction.
 class Socket {
  public:
   Socket() = default;
@@ -36,20 +36,10 @@ class Socket {
   /// (peer gone, fd closed under us). Retries EINTR.
   [[nodiscard]] bool send_all(const void* data, std::size_t n) const;
 
-  enum class Read {
-    kOk,    ///< all n bytes arrived
-    kEof,   ///< clean EOF before the first byte
-    kTorn,  ///< EOF or error after some bytes — the stream tore mid-unit
-  };
-  /// Read exactly @p n bytes. Retries EINTR.
-  [[nodiscard]] Read read_exact(void* data, std::size_t n) const;
-
   /// Half-close: no more bytes will be sent (SHUT_WR) — the peer's next
   /// read sees EOF while our own reads keep draining. Used by clients to
   /// signal "done submitting" during drain tests.
   void shutdown_send() const noexcept;
-  /// Wake a reader blocked in read_exact from another thread (SHUT_RD).
-  void shutdown_receive() const noexcept;
 
   void close() noexcept;
 
@@ -57,46 +47,48 @@ class Socket {
   int fd_ = -1;
 };
 
-/// One length-prefixed frame, read blocking. Anything but kOk ends the
-/// connection; the kEof/kBroken split only feeds diagnostics (a clean
-/// close is normal, a broken one counts as a protocol error).
-struct FrameRead {
-  enum class Status {
-    kOk,      ///< payload holds one complete frame
-    kEof,     ///< peer closed cleanly between frames
-    kBroken,  ///< zero/oversized length prefix, or the stream tore
-              ///< mid-frame — the byte stream cannot be resynchronised
-  };
-  Status status = Status::kEof;
-  std::vector<std::uint8_t> payload;
-};
-[[nodiscard]] FrameRead read_frame(const Socket& socket,
-                                   std::size_t max_frame_bytes =
-                                       kMaxFrameBytes);
-
-/// Write one already-framed buffer (from wire.hpp's encode_* helpers).
-[[nodiscard]] bool write_frame(const Socket& socket,
-                               const std::vector<std::uint8_t>& frame);
-
-/// Loopback listener (127.0.0.1). Binds at construction — port 0 picks
-/// an ephemeral port, readable via port() immediately after.
-class Listener {
+/// Reassembly buffer for one inbound byte stream. fill() does one recv
+/// into the free space; next() then hands out every complete frame in
+/// place. It starts at kInitialBytes and grows only to fit the one frame
+/// whose prefix it holds, so the largest it gets is prefix +
+/// max_frame_bytes.
+class FrameBuffer {
  public:
-  explicit Listener(std::uint16_t port = 0);
-  [[nodiscard]] bool valid() const noexcept { return socket_.valid(); }
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  static constexpr std::size_t kInitialBytes = 4096;
 
-  /// Wait up to @p timeout_ms for a connection. nullopt on timeout or
-  /// when the listener has been closed — callers poll a stop flag
-  /// between calls rather than blocking forever in accept(2).
-  [[nodiscard]] std::optional<Socket> accept(int timeout_ms);
+  enum class Fill {
+    kSome,        ///< bytes arrived
+    kFilled,      ///< bytes arrived and filled the free space: more may wait
+    kWouldBlock,  ///< nothing to read yet (non-blocking sockets only)
+    kClosed,      ///< EOF or a socket error
+  };
+  [[nodiscard]] Fill fill(const Socket& socket);
 
-  void close() noexcept { socket_.close(); }
+  enum class Next {
+    kFrame,     ///< payload holds one frame, valid until the next fill()
+    kNeedMore,  ///< no complete frame buffered
+    kBroken,    ///< zero/oversized length prefix: the stream cannot be
+                ///< resynchronised
+  };
+  [[nodiscard]] Next next(std::span<const std::uint8_t>& payload,
+                          std::size_t max_frame_bytes);
+
+  /// No bytes buffered — an EOF now falls between frames, not inside one.
+  [[nodiscard]] bool empty() const noexcept { return begin_ == end_; }
 
  private:
-  Socket socket_;
-  std::uint16_t port_ = 0;
+  std::vector<std::uint8_t> bytes_;
+  std::size_t begin_ = 0;  ///< first unconsumed byte
+  std::size_t end_ = 0;    ///< one past the last received byte
 };
+
+/// Non-blocking listening socket on 127.0.0.1:@p port; port 0 picks an
+/// ephemeral port. @p bound receives the port. Invalid on failure.
+[[nodiscard]] Socket listen_loopback(std::uint16_t port, std::uint16_t& bound);
+
+/// One connection pending on @p listener, as a non-blocking TCP_NODELAY
+/// socket; invalid when none is waiting.
+[[nodiscard]] Socket accept_nonblocking(const Socket& listener);
 
 /// Blocking connect to 127.0.0.1:port. Invalid Socket on failure.
 [[nodiscard]] Socket connect_loopback(std::uint16_t port);

@@ -3,38 +3,20 @@
 namespace nacu::net {
 
 const char* error_code_name(ErrorCode code) noexcept {
-  switch (code) {
-    case ErrorCode::kNone:
-      return "none";
-    case ErrorCode::kOverloaded:
-      return "overloaded";
-    case ErrorCode::kShutdown:
-      return "shutdown";
-    case ErrorCode::kQuotaExceeded:
-      return "quota-exceeded";
-    case ErrorCode::kDeadlineExpired:
-      return "deadline-expired";
-    case ErrorCode::kShardFailed:
-      return "shard-failed";
-    case ErrorCode::kBadRequest:
-      return "bad-request";
-    case ErrorCode::kUnsupported:
-      return "unsupported";
-    case ErrorCode::kInternal:
-      return "internal";
-  }
-  return "unknown";
+  // Indexed by the ErrorCode value.
+  static constexpr const char* kNames[] = {
+      "none",           "overloaded",       "shutdown",
+      "quota-exceeded", "deadline-expired", "shard-failed",
+      "bad-request",    "unsupported",      "internal"};
+  const auto index = static_cast<std::size_t>(code);
+  return index < std::size(kNames) ? kNames[index] : "unknown";
 }
 
 std::vector<std::uint8_t> finish_frame(std::vector<std::uint8_t> payload) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kLengthPrefixBytes + payload.size());
   const auto length = static_cast<std::uint32_t>(payload.size());
-  for (int shift = 0; shift < 32; shift += 8) {
-    frame.push_back(static_cast<std::uint8_t>(length >> shift));
-  }
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
+  payload.insert(payload.begin(), kLengthPrefixBytes, 0);
+  std::memcpy(payload.data(), &length, kLengthPrefixBytes);
+  return payload;
 }
 
 void encode_submit_options(ByteWriter& w, const WireSubmitOptions& options) {
@@ -68,85 +50,102 @@ std::optional<WireSubmitOptions> decode_submit_options(ByteReader& r) {
   return options;
 }
 
+namespace {
+
+/// A writer holding a placeholder length prefix; end_frame patches it.
+ByteWriter begin_frame(Opcode opcode, std::size_t payload_bytes) {
+  ByteWriter w{kLengthPrefixBytes + payload_bytes};
+  w.u32(0);
+  w.u8(static_cast<std::uint8_t>(opcode));
+  return w;
+}
+
+std::vector<std::uint8_t> end_frame(ByteWriter& w) {
+  std::vector<std::uint8_t> frame = w.take();
+  const auto length =
+      static_cast<std::uint32_t>(frame.size() - kLengthPrefixBytes);
+  std::memcpy(frame.data(), &length, kLengthPrefixBytes);
+  return frame;
+}
+
+/// u32 count, count × f64, then the finished frame.
+std::vector<std::uint8_t> f64_body(ByteWriter& w,
+                                   std::span<const double> values) {
+  w.u32(static_cast<std::uint32_t>(values.size()));
+  for (const double v : values) {
+    w.f64(v);
+  }
+  return end_frame(w);
+}
+
+/// Submit / SubmitSoftmax: head, options, then count × i64 raw words.
+std::vector<std::uint8_t> encode_raw_request(
+    Opcode opcode, std::uint64_t id, const std::uint8_t* function,
+    std::span<const std::int64_t> raws, const WireSubmitOptions& options) {
+  ByteWriter w = begin_frame(opcode, 48 + 8 * raws.size());
+  w.u64(id);
+  if (function != nullptr) {
+    w.u8(*function);
+  }
+  encode_submit_options(w, options);
+  w.u32(static_cast<std::uint32_t>(raws.size()));
+  for (const std::int64_t raw : raws) {
+    w.i64(raw);
+  }
+  return end_frame(w);
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> encode_hello(int integer_bits, int fractional_bits,
                                        std::uint8_t functions) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(Opcode::kHello));
+  ByteWriter w = begin_frame(Opcode::kHello, 5);
   w.u8(kProtocolVersion);
   w.u8(static_cast<std::uint8_t>(integer_bits));
   w.u8(static_cast<std::uint8_t>(fractional_bits));
   w.u8(functions);
-  return finish_frame(w.take());
+  return end_frame(w);
 }
-
-namespace {
-
-void encode_request_head(ByteWriter& w, Opcode opcode, std::uint64_t id) {
-  w.u8(static_cast<std::uint8_t>(opcode));
-  w.u64(id);
-}
-
-void encode_i64_body(ByteWriter& w, std::span<const std::int64_t> raws) {
-  w.u32(static_cast<std::uint32_t>(raws.size()));
-  for (const auto raw : raws) {
-    w.i64(raw);
-  }
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> encode_submit(std::uint64_t id,
                                         std::uint8_t function,
                                         std::span<const std::int64_t> raws,
                                         const WireSubmitOptions& options) {
-  ByteWriter w;
-  encode_request_head(w, Opcode::kSubmit, id);
-  w.u8(function);
-  encode_submit_options(w, options);
-  encode_i64_body(w, raws);
-  return finish_frame(w.take());
+  return encode_raw_request(Opcode::kSubmit, id, &function, raws, options);
 }
 
 std::vector<std::uint8_t> encode_submit_softmax(
     std::uint64_t id, std::span<const std::int64_t> raws,
     const WireSubmitOptions& options) {
-  ByteWriter w;
-  encode_request_head(w, Opcode::kSubmitSoftmax, id);
-  encode_submit_options(w, options);
-  encode_i64_body(w, raws);
-  return finish_frame(w.take());
+  return encode_raw_request(Opcode::kSubmitSoftmax, id, nullptr, raws,
+                            options);
 }
 
 std::vector<std::uint8_t> encode_submit_mlp(std::uint64_t id,
                                             std::span<const double> input,
                                             const WireSubmitOptions& options) {
-  ByteWriter w;
-  encode_request_head(w, Opcode::kSubmitMlp, id);
+  ByteWriter w = begin_frame(Opcode::kSubmitMlp, 47 + 8 * input.size());
+  w.u64(id);
   encode_submit_options(w, options);
-  w.u32(static_cast<std::uint32_t>(input.size()));
-  for (const auto v : input) {
-    w.f64(v);
-  }
-  return finish_frame(w.take());
+  return f64_body(w, input);
 }
 
 std::vector<std::uint8_t> encode_result_fixed(
-    std::uint64_t id, std::span<const std::int64_t> raws) {
-  ByteWriter w;
-  encode_request_head(w, Opcode::kResultFixed, id);
-  encode_i64_body(w, raws);
-  return finish_frame(w.take());
+    std::uint64_t id, std::span<const fp::Fixed> values) {
+  ByteWriter w = begin_frame(Opcode::kResultFixed, 13 + 8 * values.size());
+  w.u64(id);
+  w.u32(static_cast<std::uint32_t>(values.size()));
+  for (const fp::Fixed& v : values) {
+    w.i64(v.raw());
+  }
+  return end_frame(w);
 }
 
 std::vector<std::uint8_t> encode_result_f64(std::uint64_t id,
                                             std::span<const double> values) {
-  ByteWriter w;
-  encode_request_head(w, Opcode::kResultF64, id);
-  w.u32(static_cast<std::uint32_t>(values.size()));
-  for (const auto v : values) {
-    w.f64(v);
-  }
-  return finish_frame(w.take());
+  ByteWriter w = begin_frame(Opcode::kResultF64, 13 + 8 * values.size());
+  w.u64(id);
+  return f64_body(w, values);
 }
 
 std::vector<std::uint8_t> encode_error(std::uint64_t id, ErrorCode code,
@@ -154,12 +153,12 @@ std::vector<std::uint8_t> encode_error(std::uint64_t id, ErrorCode code,
   // Clamp the diagnostic text to its u16 length field; codes carry the
   // semantics, the text is best-effort.
   const std::size_t n = std::min<std::size_t>(message.size(), 0xFFFF);
-  ByteWriter w;
-  encode_request_head(w, Opcode::kError, id);
+  ByteWriter w = begin_frame(Opcode::kError, 12 + n);
+  w.u64(id);
   w.u8(static_cast<std::uint8_t>(code));
   w.u16(static_cast<std::uint16_t>(n));
   w.raw(message.data(), n);
-  return finish_frame(w.take());
+  return end_frame(w);
 }
 
 }  // namespace nacu::net

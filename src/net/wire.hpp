@@ -8,68 +8,13 @@
 // ShutdownError, ShardFailedError) onto stable one-byte codes a client can
 // switch on without parsing message text.
 //
-// Frame layout (all integers little-endian):
-//
-//   ┌──────────────┬──────────────────────────────────────┐
-//   │ u32 length   │ payload (length bytes)               │
-//   └──────────────┴──────────────────────────────────────┘
-//
-// length counts the payload only, must be ≥ 1 (the opcode byte) and at
-// most kMaxFrameBytes — a zero-length or oversized prefix means the byte
-// stream can no longer be trusted and the connection is closed. Every
-// payload starts with a one-byte opcode; every request and response
-// payload follows it with the u64 request id that correlates streamed
-// responses back to pipelined requests (responses stream back per
-// connection in submission order; ids make the pairing explicit and
-// survive protocol evolution toward out-of-order completion).
-//
-// Payloads:
-//
-//   Hello (server → client, once, immediately after accept):
-//     u8  opcode = kHello
-//     u8  protocol version (kProtocolVersion)
-//     u8  format integer bits   ┐ the server's datapath grid — raw i64
-//     u8  format fractional bits┘ values on the wire live on it
-//     u8  function count (how many Function values submits may carry)
-//
-//   Submit / SubmitSoftmax (client → server):
-//     u8  opcode = kSubmit | kSubmitSoftmax
-//     u64 request id
-//     u8  function (kSubmit only; BatchNacu::Function index)
-//     SubmitOptions block (below)
-//     u32 element count
-//     i64 × count    raw fixed-point values on the server's format grid
-//
-//   SubmitMlp (client → server; hosted-model forward pass):
-//     u8  opcode = kSubmitMlp
-//     u64 request id
-//     SubmitOptions block
-//     u32 element count
-//     f64 × count    model inputs (IEEE-754 bits as u64)
-//
-//   SubmitOptions block (fixed 30 bytes, always present):
-//     u8  priority (Priority index)
-//     u8  flags (bit 0: deadline_ns is set)
-//     u64 tenant id
-//     u32 max retries
-//     i64 deadline_ns — RELATIVE to server receipt. Absolute
-//         steady_clock points are meaningless across processes; the
-//         server resolves deadline = its own serving clock + deadline_ns
-//         at the moment it parses the frame.
-//     f64 hedge fraction
-//
-//   ResultFixed / ResultF64 (server → client):
-//     u8  opcode = kResultFixed | kResultF64
-//     u64 request id
-//     u32 element count
-//     i64 × count raw values   |   f64 × count doubles
-//
-//   Error (server → client):
-//     u8  opcode = kError
-//     u64 request id (0 when the failure has no parseable request)
-//     u8  error code (ErrorCode)
-//     u16 message length, then that many message bytes (diagnostic only;
-//         clients switch on the code)
+// Every frame is a u32 little-endian payload length (≥ 1, at most
+// kMaxFrameBytes) followed by the payload: a one-byte opcode and, on every
+// request and response, the u64 request id that pairs streamed responses
+// with pipelined requests. The byte layout of each payload — including
+// the fixed 30-byte SubmitOptions block, whose deadline is *relative* to
+// server receipt — is specified in src/net/README.md; the encode_*
+// builders and decode_submit_options below are its one implementation.
 //
 // Malformed-input contract (pinned by tests/test_net.cpp): a frame whose
 // *stream framing* is broken — zero/oversized length prefix, or EOF mid
@@ -77,7 +22,7 @@
 // frame whose *payload* is broken but whose id parsed — unknown opcode,
 // truncated body, out-of-format raw value — is answered with a
 // kBadRequest error frame and the connection keeps serving. Either way
-// the server never crashes and never leaks a pending promise.
+// the server never crashes and never leaks an accepted request.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +31,8 @@
 #include <span>
 #include <string>
 #include <vector>
+
+#include "fixedpoint/fixed.hpp"
 
 namespace nacu::net {
 
@@ -136,20 +83,18 @@ struct WireSubmitOptions {
 
 // -- byte-level encode/decode ------------------------------------------------
 
-/// Append-only little-endian byte writer. Frames are built payload-first,
-/// then prefixed with their length by finish_frame.
+/// Append-only little-endian byte writer. The encode_* builders below
+/// start with a placeholder length prefix and patch it once the payload is
+/// written, so a frame is one buffer built in one pass.
 class ByteWriter {
  public:
+  explicit ByteWriter(std::size_t reserve = 0) { bytes_.reserve(reserve); }
   void u8(std::uint8_t v) { bytes_.push_back(v); }
   void u16(std::uint16_t v) { append(&v, 2); }
   void u32(std::uint32_t v) { append(&v, 4); }
   void u64(std::uint64_t v) { append(&v, 8); }
   void i64(std::int64_t v) { append(&v, 8); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, 8);
-    u64(bits);
-  }
+  void f64(double v) { append(&v, 8); }
   void raw(const void* data, std::size_t n) { append(data, n); }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
@@ -173,10 +118,7 @@ class ByteReader {
   explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_{bytes} {}
 
   [[nodiscard]] std::optional<std::uint8_t> u8() {
-    if (pos_ + 1 > bytes_.size()) {
-      return std::nullopt;
-    }
-    return bytes_[pos_++];
+    return fixed<std::uint8_t>();
   }
   [[nodiscard]] std::optional<std::uint16_t> u16() {
     return fixed<std::uint16_t>();
@@ -190,15 +132,7 @@ class ByteReader {
   [[nodiscard]] std::optional<std::int64_t> i64() {
     return fixed<std::int64_t>();
   }
-  [[nodiscard]] std::optional<double> f64() {
-    const auto bits = u64();
-    if (!bits) {
-      return std::nullopt;
-    }
-    double v = 0.0;
-    std::memcpy(&v, &*bits, 8);
-    return v;
-  }
+  [[nodiscard]] std::optional<double> f64() { return fixed<double>(); }
   [[nodiscard]] std::size_t remaining() const noexcept {
     return bytes_.size() - pos_;
   }
@@ -242,7 +176,7 @@ void encode_submit_options(ByteWriter& w, const WireSubmitOptions& options);
     std::uint64_t id, std::span<const double> input,
     const WireSubmitOptions& options);
 [[nodiscard]] std::vector<std::uint8_t> encode_result_fixed(
-    std::uint64_t id, std::span<const std::int64_t> raws);
+    std::uint64_t id, std::span<const fp::Fixed> values);
 [[nodiscard]] std::vector<std::uint8_t> encode_result_f64(
     std::uint64_t id, std::span<const double> values);
 [[nodiscard]] std::vector<std::uint8_t> encode_error(std::uint64_t id,

@@ -1,32 +1,34 @@
 // Request/response vocabulary of the async serving layer.
 //
 // A request is one unit of client work — an element-wise activation batch,
-// one softmax row, or a full model forward pass — paired with the promise
-// its result is delivered through, plus the admission metadata the sharded
-// server schedules it by: a priority class, an optional completion
-// deadline, and an optional tenant id for per-tenant quotas. Requests are
-// created by the InferenceServer submission API (server.hpp), admitted
-// through the AdmissionController (admission.hpp), queued in a per-shard
-// ShardQueue (shard_queue.hpp), grouped by that shard's MicroBatcher
-// (micro_batcher.hpp), and fulfilled by the shard's dispatcher thread;
-// clients only ever see the std::future side.
+// one softmax row, or a full model forward pass — paired with the
+// completion its result is delivered through, plus the admission metadata
+// the sharded server schedules it by: a priority class, an optional
+// completion deadline, and an optional tenant id for per-tenant quotas.
+// Requests are created by the InferenceServer submission API (server.hpp),
+// admitted through the AdmissionController (admission.hpp), queued in a
+// per-shard ShardQueue (shard_queue.hpp), grouped by that shard's
+// MicroBatcher (micro_batcher.hpp), and finished by the shard's dispatcher
+// thread. Clients see either a std::future (the promise-setting adapter)
+// or their own Completion callback (the network edge's path).
 //
 // Admission failures are *exceptions from submit*, not broken futures: a
 // request that the server cannot accept (every eligible shard at its
 // priority's depth limit, quota exhausted, deadline already expired, or
-// shutdown already begun) throws before any promise exists, so a returned
-// future always corresponds to accepted work that the server will finish —
-// the graceful-shutdown drain guarantee depends on exactly this. The one
-// post-admission rejection is deadline shedding: a request whose deadline
-// expires while it queues is never dispatched; its future carries
-// DeadlineExpiredError instead (the drain guarantee still holds — the
-// future becomes ready).
+// shutdown already begun) throws before it is enqueued, and its completion
+// never runs — so every accepted request is work the server will finish,
+// and its completion runs exactly once. The graceful-shutdown drain
+// guarantee depends on exactly this. The one post-admission rejection is
+// deadline shedding: a request whose deadline expires while it queues is
+// never dispatched; its completion receives DeadlineExpiredError instead
+// (the drain guarantee still holds — the completion still runs).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -132,39 +134,67 @@ struct SubmitOptions {
   double hedge_fraction = 0.0;
 };
 
+/// How an accepted request's outcome is delivered: exactly once, with the
+/// value (error null) or with the error (value null). It runs on whichever
+/// serving-layer thread finishes the request — a dispatcher, or the
+/// supervisor / shutdown sweep that fails orphans — so it must not block
+/// and must not throw. The value may be moved from.
+template <typename T>
+using Completion = std::function<void(T* value, std::exception_ptr error)>;
+
 /// One-shot result cell shared between a request and its retry/hedge
 /// copies. The resilience layer may put several copies of one accepted
 /// request in flight (a hedge racing a slow shard, a requeue after a shard
 /// died); whichever copy finishes first wins — a single atomic exchange
-/// decides the winner, so the underlying promise is fulfilled exactly once
-/// and later completions are dropped, never double-set.
+/// decides the winner, so the completion runs exactly once and later
+/// completions are dropped, never double-delivered.
 template <typename T>
 class SharedResult {
  public:
-  [[nodiscard]] std::future<T> get_future() { return promise_.get_future(); }
+  SharedResult() = default;
+  explicit SharedResult(Completion<T> completion)
+      : completion_{std::move(completion)} {}
+
+  /// The future adapter: installs a promise-setting completion. Call once,
+  /// before the request is enqueued.
+  [[nodiscard]] std::future<T> get_future() {
+    auto promise = std::make_shared<std::promise<T>>();
+    std::future<T> future = promise->get_future();
+    completion_ = [promise](T* value, std::exception_ptr error) {
+      if (value != nullptr) {
+        promise->set_value(std::move(*value));
+      } else {
+        promise->set_exception(std::move(error));
+      }
+    };
+    return future;
+  }
   /// Whether some copy already completed (lets the supervisor skip firing
   /// a hedge whose original has finished).
   [[nodiscard]] bool done() const noexcept {
     return done_.load(std::memory_order_acquire);
   }
-  /// True when this call won (fulfilled the promise).
-  bool set_value(T value) {
-    if (done_.exchange(true, std::memory_order_acq_rel)) {
-      return false;
-    }
-    promise_.set_value(std::move(value));
-    return true;
-  }
+  /// True when this call won (ran the completion).
+  bool set_value(T value) { return deliver(&value, nullptr); }
   bool set_exception(std::exception_ptr error) {
-    if (done_.exchange(true, std::memory_order_acq_rel)) {
-      return false;
-    }
-    promise_.set_exception(std::move(error));
-    return true;
+    return deliver(nullptr, std::move(error));
   }
 
  private:
-  std::promise<T> promise_;
+  bool deliver(T* value, std::exception_ptr error) {
+    if (done_.exchange(true, std::memory_order_acq_rel)) {
+      return false;
+    }
+    // Moved out so whatever it captured is released once it has run, not
+    // when the last copy of the request dies.
+    const Completion<T> completion = std::move(completion_);
+    if (completion) {
+      completion(value, std::move(error));
+    }
+    return true;
+  }
+
+  Completion<T> completion_;
   std::atomic<bool> done_{false};
 };
 

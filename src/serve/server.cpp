@@ -126,8 +126,8 @@ void InferenceServer::shutdown() {
   }
   supervisor_wake_.notify_all();
   // One caller joins; concurrent callers block here until the drain is
-  // complete, so "shutdown returned" always means "every accepted future
-  // is ready".
+  // complete, so "shutdown returned" always means "every accepted request's
+  // completion has run".
   std::call_once(join_once_, [this] {
     if (supervisor_.joinable()) {
       // The supervisor first: it may be mid-respawn, mutating dispatcher
@@ -148,7 +148,7 @@ void InferenceServer::sweep_leftovers() {
   // returns on Stopped + empty). Anything still queued belongs to a shard
   // that died or stalled with no supervisor pass left to recover it:
   // fail-or-finish every orphan so the drain guarantee (every accepted
-  // future becomes ready) holds unconditionally.
+  // request's completion runs) holds unconditionally.
   for (auto& shard : shards_) {
     std::vector<Request> orphans;
     while (!shard->batcher.empty()) {
@@ -250,9 +250,9 @@ std::chrono::steady_clock::time_point InferenceServer::resilience_now() const {
                                    : std::chrono::steady_clock::now();
 }
 
-template <typename Result, typename Payload>
-std::future<Result> InferenceServer::enqueue(
-    Payload payload, const SubmitOptions& submit_options) {
+template <typename Payload>
+void InferenceServer::enqueue(Payload payload,
+                              const SubmitOptions& submit_options) {
   static obs::Counter& accepted_m = obs::counter("serve.accepted");
   static obs::Counter& rejected_overload_m =
       obs::counter("serve.rejected_overload");
@@ -269,7 +269,6 @@ std::future<Result> InferenceServer::enqueue(
   static obs::Gauge& depth_high_water =
       obs::gauge("serve.queue_depth_high_water");
 
-  std::future<Result> future = payload.result->get_future();
   if (stopping_.load(std::memory_order_acquire)) {
     rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
     rejected_shutdown_m.add();
@@ -365,7 +364,7 @@ std::future<Result> InferenceServer::enqueue(
           .request = std::move(*hedge)});
       hedges_armed_m.add();
     }
-    return future;
+    return;
   }
   if (depth_limit < per_shard_capacity_) {
     // Rejected at a sub-capacity class limit: a higher-priority request
@@ -379,39 +378,67 @@ std::future<Result> InferenceServer::enqueue(
   throw OverloadedError{};
 }
 
+template <typename Payload>
+auto InferenceServer::enqueue_for_future(Payload payload,
+                                         const SubmitOptions& submit_options) {
+  auto future = payload.result->get_future();
+  enqueue(std::move(payload), submit_options);
+  return future;
+}
+
 std::future<std::vector<fp::Fixed>> InferenceServer::submit(
     Function f, std::vector<fp::Fixed> input,
     const SubmitOptions& submit_options) {
-  ActivationRequest payload;
-  payload.function = f;
-  payload.input = std::move(input);
-  return enqueue<std::vector<fp::Fixed>>(std::move(payload), submit_options);
+  return enqueue_for_future(ActivationRequest{f, std::move(input)},
+                            submit_options);
 }
 
 std::future<std::vector<fp::Fixed>> InferenceServer::submit_softmax(
     std::vector<fp::Fixed> logits, const SubmitOptions& submit_options) {
-  SoftmaxRequest payload;
-  payload.logits = std::move(logits);
-  return enqueue<std::vector<fp::Fixed>>(std::move(payload), submit_options);
+  return enqueue_for_future(SoftmaxRequest{std::move(logits)},
+                            submit_options);
 }
 
 std::future<std::vector<double>> InferenceServer::submit_mlp(
     const nn::QuantizedMlp& model, std::vector<double> input,
     const SubmitOptions& submit_options) {
-  MlpRequest payload;
-  payload.model = &model;
-  payload.input = std::move(input);
-  return enqueue<std::vector<double>>(std::move(payload), submit_options);
+  return enqueue_for_future(MlpRequest{&model, std::move(input)},
+                            submit_options);
 }
 
 std::future<nn::LstmFixed::State> InferenceServer::submit_lstm(
     const nn::LstmFixed& model, nn::LstmFixed::State state,
     std::vector<double> x, const SubmitOptions& submit_options) {
-  LstmRequest payload;
-  payload.model = &model;
-  payload.state = std::move(state);
-  payload.x = std::move(x);
-  return enqueue<nn::LstmFixed::State>(std::move(payload), submit_options);
+  return enqueue_for_future(
+      LstmRequest{&model, std::move(state), std::move(x)}, submit_options);
+}
+
+void InferenceServer::submit(Function f, std::vector<fp::Fixed> input,
+                             const SubmitOptions& submit_options,
+                             Completion<std::vector<fp::Fixed>> done) {
+  using Cell = SharedResult<std::vector<fp::Fixed>>;
+  enqueue(ActivationRequest{f, std::move(input),
+                            std::make_shared<Cell>(std::move(done))},
+          submit_options);
+}
+
+void InferenceServer::submit_softmax(std::vector<fp::Fixed> logits,
+                                     const SubmitOptions& submit_options,
+                                     Completion<std::vector<fp::Fixed>> done) {
+  using Cell = SharedResult<std::vector<fp::Fixed>>;
+  enqueue(SoftmaxRequest{std::move(logits),
+                         std::make_shared<Cell>(std::move(done))},
+          submit_options);
+}
+
+void InferenceServer::submit_mlp(const nn::QuantizedMlp& model,
+                                 std::vector<double> input,
+                                 const SubmitOptions& submit_options,
+                                 Completion<std::vector<double>> done) {
+  using Cell = SharedResult<std::vector<double>>;
+  enqueue(MlpRequest{&model, std::move(input),
+                     std::make_shared<Cell>(std::move(done))},
+          submit_options);
 }
 
 bool InferenceServer::try_steal(std::size_t shard_index) {
@@ -654,7 +681,7 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
         const std::size_t n = act.input.size();
         // The input vector is dead once evaluated — recycle it as the
         // result buffer so the coalesced path allocates nothing per
-        // request beyond the promise's shared state.
+        // request for the result.
         std::copy(out.begin() + static_cast<std::ptrdiff_t>(offset),
                   out.begin() + static_cast<std::ptrdiff_t>(offset + n),
                   act.input.begin());
@@ -702,9 +729,9 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
   static obs::Counter& degraded_m =
       obs::counter("serve.resilience.degraded_requests");
   bool won = false;
-  // Counted *before* the promise resolves so a client that observed its
-  // future ready also observes the counter (promise synchronisation
-  // publishes the sequenced-before increment).
+  // Counted *before* the completion runs so a client that observed its
+  // result also observes the counter (the completion's own
+  // synchronisation publishes the sequenced-before increment).
   const auto note_degraded = [this] {
     degraded_requests_.fetch_add(1, std::memory_order_relaxed);
     degraded_m.add();

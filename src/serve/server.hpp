@@ -150,6 +150,21 @@ class InferenceServer {
       const nn::QuantizedMlp& model, std::vector<double> input,
       const SubmitOptions& submit_options = {});
 
+  /// Completion forms of the three calls above: the same admission and the
+  /// same throws, but an accepted request's outcome goes to @p done —
+  /// exactly once, on a serving-layer thread (request.hpp's Completion
+  /// contract) — instead of through a future. The future forms are thin
+  /// adapters over these.
+  void submit(Function f, std::vector<fp::Fixed> input,
+              const SubmitOptions& submit_options,
+              Completion<std::vector<fp::Fixed>> done);
+  void submit_softmax(std::vector<fp::Fixed> logits,
+                      const SubmitOptions& submit_options,
+                      Completion<std::vector<fp::Fixed>> done);
+  void submit_mlp(const nn::QuantizedMlp& model, std::vector<double> input,
+                  const SubmitOptions& submit_options,
+                  Completion<std::vector<double>> done);
+
   /// One LSTM cell step: future resolves to model.step(state, x).
   /// @p model is borrowed — keep it alive until the future resolves.
   [[nodiscard]] std::future<nn::LstmFixed::State> submit_lstm(
@@ -211,7 +226,7 @@ class InferenceServer {
     std::uint64_t rejected_deadline = 0;  ///< expired already at submit
     std::uint64_t shed_priority = 0;  ///< full at a sub-capacity class limit
     std::uint64_t shed_deadline = 0;  ///< accepted, expired before dispatch
-    std::uint64_t completed = 0;  ///< futures fulfilled (value or exception)
+    std::uint64_t completed = 0;  ///< completions run (value or exception)
     std::uint64_t dispatches = 0;  ///< dispatch groups executed
     std::uint64_t steals = 0;          ///< successful steal operations
     std::uint64_t stolen_requests = 0;  ///< requests moved by stealing
@@ -282,12 +297,14 @@ class InferenceServer {
   /// Admission: preadmit (deadline/quota), stamp, then push into the home
   /// shard or — when it is full — probe the others once around, skipping
   /// shards whose circuit refuses (falling back to ignoring circuit state
-  /// when every healthy shard is full — fail-static). Returns the future
-  /// tied to the enqueued promise; throws instead of enqueueing on any
-  /// rejection.
-  template <typename Result, typename Payload>
-  [[nodiscard]] std::future<Result> enqueue(Payload payload,
-                                            const SubmitOptions& submit_options);
+  /// when every healthy shard is full — fail-static). Throws instead of
+  /// enqueueing on any rejection; the payload's completion then never runs.
+  template <typename Payload>
+  void enqueue(Payload payload, const SubmitOptions& submit_options);
+  /// The future adapter: install a promise-setting completion, enqueue.
+  template <typename Payload>
+  [[nodiscard]] auto enqueue_for_future(Payload payload,
+                                        const SubmitOptions& submit_options);
 
   /// Round-robin with per-thread affinity: each submitting thread keeps
   /// hitting the same shard (its producer lock stays warm and uncontended

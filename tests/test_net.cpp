@@ -19,12 +19,18 @@
 //    answers every request that reached the inference layer on the wire
 //    before closing (stats().requests_submitted == responses_written),
 //    which is the closed-loop gate bench_e2e enforces end-to-end.
+// Two more pin the event-loop edge's lifetime rules: idle connections cost
+// no threads, and a completion that lands after its client vanished is
+// accounted, never a use-after-free.
 // This binary runs under the CI e2e-smoke job (ASan/UBSan and TSan).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -38,6 +44,7 @@
 #include "nn/dataset.hpp"
 #include "nn/quantized_mlp.hpp"
 #include "nn/rng.hpp"
+#include "obs/metrics.hpp"
 #include "serve/server.hpp"
 
 namespace nacu::net {
@@ -69,6 +76,30 @@ void expect_bit_equal(const std::vector<fp::Fixed>& got,
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].raw(), want[i].raw()) << context << " element " << i;
   }
+}
+
+/// A Submit frame for @p input, appended to @p bytes (several frames in
+/// one buffer reach the server through one send).
+void append_submit(std::vector<std::uint8_t>& bytes, std::uint64_t id,
+                   Function function, const std::vector<fp::Fixed>& input) {
+  std::vector<std::int64_t> raws;
+  for (const fp::Fixed& v : input) {
+    raws.push_back(v.raw());
+  }
+  const std::vector<std::uint8_t> frame =
+      encode_submit(id, static_cast<std::uint8_t>(function), raws, {});
+  bytes.insert(bytes.end(), frame.begin(), frame.end());
+}
+
+/// The process's thread count (/proc/self/status "Threads:").
+std::size_t process_threads() {
+  std::ifstream status{"/proc/self/status"};
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoul(line.substr(8));
+    }
+  }
+  return 0;
 }
 
 // -- wire encode/decode unit coverage ---------------------------------------
@@ -432,6 +463,84 @@ TEST(Net, TruncatedBodyAndBadValuesGetBadRequestNotACrash) {
   EXPECT_NO_THROW((void)client.call(Function::Sigmoid, input));
 }
 
+// -- coalesced frames: many frames in one recv -------------------------------
+
+TEST(Net, CoalescedGarbageFrameGetsBadRequestInOrderAmongValidSubmits) {
+  NetFixture fx;
+  const BatchNacu direct{fx.config};
+  Client client{fx.server.port()};
+  ASSERT_TRUE(client.valid());
+  nn::Rng rng{21};
+  constexpr std::uint64_t kBad = 21;
+  std::vector<std::vector<fp::Fixed>> inputs(2 * kBad);
+  std::vector<std::uint8_t> burst;
+  for (std::uint64_t id = 1; id < 2 * kBad; ++id) {
+    if (id == kBad) {
+      ByteWriter w;
+      w.u8(0x7F);
+      w.u64(id);
+      const std::vector<std::uint8_t> frame = finish_frame(w.take());
+      burst.insert(burst.end(), frame.begin(), frame.end());
+      continue;
+    }
+    inputs[id] = random_batch(rng, fx.config.format, 8);
+    append_submit(burst, id, static_cast<Function>(id % 3), inputs[id]);
+  }
+  ASSERT_TRUE(client.socket().send_all(burst.data(), burst.size()));
+  for (std::uint64_t id = 1; id < 2 * kBad; ++id) {
+    const auto response = client.read_response();
+    ASSERT_TRUE(response.has_value()) << "id " << id;
+    ASSERT_EQ(response->id, id);
+    if (id == kBad) {
+      EXPECT_EQ(response->error, ErrorCode::kBadRequest);
+      continue;
+    }
+    ASSERT_TRUE(response->ok()) << response->message;
+    expect_bit_equal(response->values,
+                     direct.evaluate(static_cast<Function>(id % 3), inputs[id]),
+                     "coalesced id " + std::to_string(id));
+  }
+  // Same connection, next request: still served.
+  const std::vector<fp::Fixed> input{fp::Fixed::zero(client.format())};
+  EXPECT_NO_THROW((void)client.call(Function::Sigmoid, input));
+  EXPECT_EQ(fx.server.stats().immediate_errors, 1u);
+  EXPECT_EQ(fx.server.stats().protocol_errors, 0u);
+}
+
+TEST(Net, CoalescedZeroPrefixAfterValidSubmitsAnswersThemAllBeforeEof) {
+  NetFixture fx;
+  const BatchNacu direct{fx.config};
+  Client victim{fx.server.port()};
+  ASSERT_TRUE(victim.valid());
+  nn::Rng rng{22};
+  constexpr std::uint64_t kValid = 20;
+  std::vector<std::vector<fp::Fixed>> inputs(kValid + 1);
+  std::vector<std::uint8_t> burst;
+  for (std::uint64_t id = 1; id <= kValid; ++id) {
+    inputs[id] = random_batch(rng, fx.config.format, 8);
+    append_submit(burst, id, Function::Exp, inputs[id]);
+  }
+  burst.insert(burst.end(), kLengthPrefixBytes, 0);  // zero-length frame
+  ASSERT_TRUE(victim.socket().send_all(burst.data(), burst.size()));
+  // Every frame before the broken prefix is answered, in order…
+  for (std::uint64_t id = 1; id <= kValid; ++id) {
+    const auto response = victim.read_response();
+    ASSERT_TRUE(response.has_value()) << "id " << id;
+    ASSERT_EQ(response->id, id);
+    ASSERT_TRUE(response->ok()) << response->message;
+    expect_bit_equal(response->values,
+                     direct.evaluate(Function::Exp, inputs[id]),
+                     "before the broken prefix, id " + std::to_string(id));
+  }
+  // …then the connection closes, and only that connection.
+  EXPECT_FALSE(victim.read_response().has_value());
+  EXPECT_EQ(fx.server.stats().protocol_errors, 1u);
+  Client fresh{fx.server.port()};
+  ASSERT_TRUE(fresh.valid());
+  const std::vector<fp::Fixed> input{fp::Fixed::zero(fresh.format())};
+  EXPECT_NO_THROW((void)fresh.call(Function::Sigmoid, input));
+}
+
 TEST(Net, ClientVanishingMidRequestLeaksNothing) {
   serve::ServerOptions options;
   options.batcher.max_batch = 4;
@@ -455,6 +564,91 @@ TEST(Net, ClientVanishingMidRequestLeaksNothing) {
   EXPECT_EQ(counters.accepted, counters.completed);
   const auto stats = fx->server.stats();
   // Whatever could not be written is accounted, not lost.
+  EXPECT_EQ(stats.requests_submitted,
+            stats.responses_written + stats.write_failures);
+}
+
+TEST(Net, ClientVanishingBeforeLargeRequestsCompleteLeaksNothing) {
+  // Each round submits 65,536 elements (past the engine's parallel
+  // threshold) and, once the server has accepted the request, resets the
+  // connection (SO_LINGER 0 sends RST). The server drops the socket at
+  // once; max_wait holds the request in the batcher long after that, so
+  // every completion lands on a closed connection that only the
+  // completion itself keeps alive — each answer must be accounted as a
+  // write failure, never written to freed memory.
+  serve::ServerOptions options;
+  options.batcher.max_batch = 1024;
+  options.batcher.max_wait = std::chrono::milliseconds{100};
+  auto fx = std::make_unique<NetFixture>(options);
+  nn::Rng rng{9};
+  const std::vector<fp::Fixed> input =
+      random_batch(rng, fx->config.format, std::size_t{1} << 16);
+  constexpr std::uint64_t kRounds = 20;
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    Client client{fx->server.port()};
+    ASSERT_TRUE(client.valid());
+    ASSERT_NE(client.send_submit(Function::Tanh, input), 0u);
+    const auto give_up = std::chrono::steady_clock::now() +
+                         std::chrono::seconds{10};
+    while (fx->server.stats().requests_submitted <= round) {
+      ASSERT_LT(std::chrono::steady_clock::now(), give_up) << "round " << round;
+      std::this_thread::sleep_for(std::chrono::microseconds{100});
+    }
+    const linger reset{1, 0};
+    ASSERT_EQ(::setsockopt(client.socket().fd(), SOL_SOCKET, SO_LINGER,
+                           &reset, sizeof reset),
+              0);
+    client.close();
+  }
+  fx->server.shutdown();
+  const auto counters = fx->inference.counters();
+  EXPECT_EQ(counters.accepted, kRounds);
+  EXPECT_EQ(counters.accepted, counters.completed);
+  const auto stats = fx->server.stats();
+  EXPECT_EQ(stats.requests_submitted, kRounds);
+  EXPECT_EQ(stats.responses_written, 0u);
+  EXPECT_EQ(stats.write_failures, kRounds);
+}
+
+TEST(Net, IdleConnectionsCostNoThreads) {
+  serve::ServerOptions options;
+  options.shards = 2;
+  NetFixture fx{options};
+  const BatchNacu direct{fx.config};
+  const std::size_t threads_before = process_threads();
+  ASSERT_GT(threads_before, 0u);
+  std::vector<std::unique_ptr<Client>> idle;
+  for (int i = 0; i < 256; ++i) {
+    idle.push_back(std::make_unique<Client>(fx.server.port()));
+    ASSERT_TRUE(idle.back()->valid()) << "connection " << i;  // Hello read
+  }
+  // A thread per connection would have added hundreds here.
+  EXPECT_LE(process_threads(), threads_before + 2);
+
+  // One pipelining client on top of the idle crowd is still exact.
+  Client client{fx.server.port()};
+  ASSERT_TRUE(client.valid());
+  nn::Rng rng{256};
+  std::vector<std::vector<fp::Fixed>> inputs;
+  for (int i = 0; i < 64; ++i) {
+    inputs.push_back(random_batch(rng, fx.config.format, 8));
+    ASSERT_NE(client.send_submit(static_cast<Function>(i % 3), inputs.back()),
+              0u);
+  }
+  for (int i = 0; i < 64; ++i) {
+    const auto response = client.read_response();
+    ASSERT_TRUE(response.has_value() && response->ok()) << "request " << i;
+    expect_bit_equal(response->values,
+                     direct.evaluate(static_cast<Function>(i % 3), inputs[i]),
+                     "among idle connections, request " + std::to_string(i));
+  }
+
+  // Shutdown with every connection still open returns, and every
+  // submitted request was written or accounted as lost.
+  fx.server.shutdown();
+  const auto stats = fx.server.stats();
+  EXPECT_EQ(stats.connections, 257u);
+  EXPECT_EQ(stats.requests_submitted, 64u);
   EXPECT_EQ(stats.requests_submitted,
             stats.responses_written + stats.write_failures);
 }
@@ -573,6 +767,77 @@ TEST(Net, HalfCloseDrainsEveryOwedResponseBeforeEof) {
     ++received;
   }
   EXPECT_EQ(received, kBurst);
+}
+
+// -- observability -----------------------------------------------------------
+
+TEST(Net, ObsCountersMatchStatsAcrossGoodBadAndVanishedTraffic) {
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const char* const names[] = {
+      "net.connections",       "net.frames_read",
+      "net.requests_submitted", "net.responses_written",
+      "net.immediate_errors",  "net.protocol_errors",
+      "net.write_failures"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : names) {
+    before.push_back(obs::counter(name).value());
+  }
+  NetServer::Stats stats;
+  {
+    NetFixture fx;
+    nn::Rng rng{31};
+    {
+      Client good{fx.server.port()};
+      ASSERT_TRUE(good.valid());
+      for (int i = 0; i < 10; ++i) {
+        (void)good.call(Function::Tanh, random_batch(rng, fx.config.format, 8));
+      }
+      ByteWriter w;
+      w.u8(0x7F);
+      w.u64(99);
+      const std::vector<std::uint8_t> frame = finish_frame(w.take());
+      ASSERT_TRUE(good.socket().send_all(frame.data(), frame.size()));
+      const auto response = good.read_response();
+      ASSERT_TRUE(response.has_value());
+      EXPECT_EQ(response->error, ErrorCode::kBadRequest);
+    }
+    {
+      Client vanishing{fx.server.port()};
+      ASSERT_TRUE(vanishing.valid());
+      for (int i = 0; i < 25; ++i) {
+        ASSERT_NE(vanishing.send_submit(
+                      Function::Sigmoid,
+                      random_batch(rng, fx.config.format, 8)),
+                  0u);
+      }
+      vanishing.close();
+    }
+    {
+      Client broken{fx.server.port()};
+      ASSERT_TRUE(broken.valid());
+      const std::uint8_t zero_prefix[4] = {0, 0, 0, 0};
+      ASSERT_TRUE(broken.socket().send_all(zero_prefix, sizeof zero_prefix));
+      EXPECT_FALSE(broken.read_response().has_value());
+    }
+    fx.server.shutdown();
+    stats = fx.server.stats();
+  }
+  obs::set_metrics_enabled(was_enabled);
+  const std::uint64_t want[] = {
+      stats.connections,       stats.frames_read,
+      stats.requests_submitted, stats.responses_written,
+      stats.immediate_errors,  stats.protocol_errors,
+      stats.write_failures};
+  for (std::size_t i = 0; i < std::size(names); ++i) {
+    EXPECT_EQ(obs::counter(names[i]).value() - before[i], want[i])
+        << names[i];
+  }
+  EXPECT_EQ(stats.connections, 3u);
+  EXPECT_GE(stats.immediate_errors, 1u);
+  EXPECT_EQ(stats.protocol_errors, 1u);
+  EXPECT_EQ(stats.requests_submitted,
+            stats.responses_written + stats.write_failures);
 }
 
 }  // namespace
