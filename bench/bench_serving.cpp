@@ -10,11 +10,12 @@
 //                 dispatch group, paying the full dispatcher/engine
 //                 per-call overhead — the "no dynamic batching" baseline
 //                 every serving-system paper compares against;
-//   micro-batch — max_batch = 256, max_wait = 0, one shard: the PR 5
-//                 design — the dispatcher coalesces whatever is pending
-//                 each time it wakes (adaptive batching — zero added
-//                 latency, group size grows with load), but every client
-//                 funnels through one ingress mutex and one dispatcher;
+//   micro-batch — max_batch = 256, max_wait = 0, one shard: the
+//                 dispatcher takes whatever is pending each time it wakes
+//                 as one group (adaptive batching — zero added latency,
+//                 group size grows with load) and evaluates each request
+//                 in place, but every client funnels through one ingress
+//                 mutex and one dispatcher;
 //   sharded     — the same adaptive batching across 4 dispatcher shards
 //                 with per-thread shard affinity and work stealing: the
 //                 submission path contends on 1/4 of the locks, which is
@@ -23,9 +24,9 @@
 //
 // Requests are deliberately small (kElemsPerRequest elements): at that
 // size the fixed per-dispatch cost (dispatcher loop and locking, take/
-// execute bookkeeping, per-call engine entry, per-request result
-// allocation) rivals the table-lookup work itself, which is precisely the
-// regime micro-batching and sharding exist for. Results are bit-identical
+// execute bookkeeping, per-call engine entry) rivals the table-lookup work
+// itself, which is precisely the regime micro-batching and sharding exist
+// for: a group shares one queue drain, one wake and one heartbeat. Results are bit-identical
 // across all three configurations (tests/test_serving.cpp proves it, over
 // the full shards × max_batch × config matrix); this bench quantifies the
 // throughput and tail-latency differences.

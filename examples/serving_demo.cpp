@@ -47,9 +47,10 @@ int main() {
 
   // 1. Mixed workload from concurrent clients across two dispatcher
   //    shards. Each submitting thread sticks to its home shard; each
-  //    shard's dispatcher coalesces whatever is pending per wake
-  //    (max_wait = 0: adaptive batching); idle shards steal from loaded
-  //    neighbours. None of that can change the bits.
+  //    shard's dispatcher takes what is pending as one group and
+  //    evaluates each activation in place, returning the request's own
+  //    buffer; idle shards steal from loaded neighbours. None of that can
+  //    change the bits.
   serve::ServerOptions sharded;
   sharded.shards = 2;
   serve::InferenceServer server{config, sharded};

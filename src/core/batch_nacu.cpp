@@ -409,9 +409,8 @@ const simd::TableView* BatchNacu::table_for(Function f,
   return &tables_[index].view;
 }
 
-void BatchNacu::for_range(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t)>& body) const {
+template <typename Body>
+void BatchNacu::for_range(std::size_t n, const Body& body) const {
   if (n >= options_.parallel_threshold) {
     pool_->parallel_for(n, options_.parallel_grain, body);
   } else {

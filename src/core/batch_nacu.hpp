@@ -42,7 +42,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -230,10 +229,11 @@ class BatchNacu {
   /// Build @p f's table into @p store: dense sweep, layout policy, the
   /// exhaustive bit-identity verification and any fallback.
   void build_table(Function f, TableStore& store) const;
-  /// Run @p body over [0, n), fanned out when n crosses the threshold.
-  void for_range(std::size_t n,
-                 const std::function<void(std::size_t, std::size_t)>& body)
-      const;
+  /// Run @p body over [0, n): called directly below parallel_threshold
+  /// (no type erasure, so a small batch allocates nothing), fanned out
+  /// across the pool at or above it.
+  template <typename Body>
+  void for_range(std::size_t n, const Body& body) const;
 
   Nacu unit_;
   Options options_;

@@ -9,7 +9,9 @@
 // take_group() then hands the dispatcher the oldest max_batch requests as
 // one dispatch group. max_batch = 1 degenerates to per-request dispatch
 // (the baseline bench_serving compares against); max_wait = 0 makes the
-// dispatcher coalesce exactly what is pending whenever it wakes.
+// dispatcher take exactly what is pending whenever it wakes. A group
+// shares one queue drain, one wake and one heartbeat; its requests are
+// then evaluated one by one, activations in place.
 //
 // The batcher is NOT internally synchronised: it is the dispatcher-private
 // side of a shard (fed from ShardQueue::drain_into and by work stealing),

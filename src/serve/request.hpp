@@ -198,12 +198,10 @@ class SharedResult {
   std::atomic<bool> done_{false};
 };
 
-/// Element-wise activation over the datapath: out[i] = f(in[i]). These are
-/// the requests the micro-batcher *coalesces* — element-wise evaluation is
-/// position-independent, so concatenating many requests into one
-/// BatchNacu::evaluate call and slicing the output back apart is
-/// bit-identical to evaluating each request alone (proven by
-/// tests/test_serving.cpp).
+/// Element-wise activation over the datapath: out[i] = f(in[i]). Evaluated
+/// in place — the dispatcher overwrites `input` with f(input) and delivers
+/// that same vector as the result, so serving an activation allocates and
+/// copies nothing per request (proven by tests/test_serving.cpp).
 struct ActivationRequest {
   core::BatchNacu::Function function = core::BatchNacu::Function::Sigmoid;
   std::vector<fp::Fixed> input;

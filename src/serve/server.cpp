@@ -587,12 +587,8 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
   static obs::Counter& dispatches_m = obs::counter("serve.dispatches");
   static obs::Counter& shed_deadline_m =
       obs::counter("serve.admission.shed_deadline");
-  static obs::Counter& degraded_m =
-      obs::counter("serve.resilience.degraded_requests");
   static obs::Histogram& group_requests =
       obs::histogram("serve.group_requests");
-  static obs::Histogram& coalesced_elems =
-      obs::histogram("serve.coalesced_elems");
   static obs::Histogram& dispatch_ns = obs::histogram("serve.dispatch_ns");
   dispatches_.fetch_add(1, std::memory_order_relaxed);
   dispatches_m.add();
@@ -601,119 +597,26 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
   const obs::TraceSpan span{"InferenceServer::dispatch"};
   shard.group_detections = 0;
 
-  std::vector<bool> handled(group.size(), false);
-  // Deadline shedding before anything touches the engine: an expired
-  // request is never dispatched — its future carries the error instead.
-  bool any_deadline = false;
-  for (const Request& request : group) {
-    any_deadline = any_deadline || request.deadline.has_value();
-  }
-  if (any_deadline) {
-    const auto now = admission_.now();
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      if (group[i].deadline.has_value() && *group[i].deadline <= now) {
-        fail_request(group[i],
-                     std::make_exception_ptr(DeadlineExpiredError{}));
-        handled[i] = true;
-        shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-        shed_deadline_m.add();
-        finish(group[i]);
-      }
+  // Deadlines are judged against one reading taken before anything touches
+  // the engine: an expired request is never dispatched — its completion
+  // carries the error instead.
+  const bool any_deadline =
+      std::any_of(group.begin(), group.end(),
+                  [](const Request& r) { return r.deadline.has_value(); });
+  const auto now = any_deadline ? admission_.now()
+                                : std::chrono::steady_clock::time_point{};
+  for (Request& request : group) {
+    if (request.deadline.has_value() && *request.deadline <= now) {
+      fail_request(request, std::make_exception_ptr(DeadlineExpiredError{}));
+      shed_deadline_.fetch_add(1, std::memory_order_relaxed);
+      shed_deadline_m.add();
+      finish(request);
+      continue;
     }
-  }
-  // Coalesce the element-wise activation requests: one engine call per
-  // function over the concatenation of every member's input. Element-wise
-  // evaluation is position-independent, so slicing the output back apart
-  // is bit-identical to per-request evaluation (the differential test's
-  // central claim).
-  const std::uint32_t quarantined = shard.health.quarantined();
-  for (std::size_t fi = 0; fi < core::BatchNacu::kFunctionCount; ++fi) {
-    const auto f = static_cast<Function>(fi);
-    std::vector<std::size_t>& members = shard.scratch_members;
-    members.clear();
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      const auto* act = std::get_if<ActivationRequest>(&group[i].payload);
-      if (!handled[i] && act != nullptr && act->function == f) {
-        members.push_back(i);
-        total += act->input.size();
-      }
-    }
-    if (members.size() < 2) {
-      continue;  // nothing to coalesce; the per-request loop picks it up
-    }
-    std::vector<fp::Fixed>& in = shard.scratch_in;
-    in.clear();
-    in.reserve(total);
-    for (const std::size_t i : members) {
-      const auto& act = std::get<ActivationRequest>(group[i].payload);
-      in.insert(in.end(), act.input.begin(), act.input.end());
-    }
-    try {
-      shard.scratch_out.assign(total,
-                               fp::Fixed::zero(shard.engine->format()));
-      std::vector<fp::Fixed>& out = shard.scratch_out;
-      const bool degraded = (quarantined & (1u << fi)) != 0;
-      if (degraded) {
-        evaluate_degraded(shard.engine->unit(), f, in, out);
-      } else {
-        shard.engine->evaluate(f, in, out);
-        if (shard.verify &&
-            !verify_activation(*checker_, shard.engine->format(), f, in,
-                               out)) {
-          // A served word failed its parity signature. Quarantine first,
-          // then recompute the whole concat on the scalar path — clients
-          // get correct bits, never the corrupt ones.
-          on_detection(shard, fi);
-          evaluate_degraded(shard.engine->unit(), f, in, out);
-        }
-      }
-      if ((quarantined & (1u << fi)) != 0 ||
-          (shard.health.quarantined() & (1u << fi)) != 0) {
-        degraded_requests_.fetch_add(members.size(),
-                                     std::memory_order_relaxed);
-        degraded_m.add(members.size());
-      }
-      coalesced_elems.record(total);
-      std::size_t offset = 0;
-      for (const std::size_t i : members) {
-        auto& act = std::get<ActivationRequest>(group[i].payload);
-        const std::size_t n = act.input.size();
-        // The input vector is dead once evaluated — recycle it as the
-        // result buffer so the coalesced path allocates nothing per
-        // request for the result.
-        std::copy(out.begin() + static_cast<std::ptrdiff_t>(offset),
-                  out.begin() + static_cast<std::ptrdiff_t>(offset + n),
-                  act.input.begin());
-        const bool won = act.result->set_value(std::move(act.input));
-        if (won && group[i].hedge_copy) {
-          hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-        }
-        offset += n;
-        handled[i] = true;
-        finish(group[i]);
-      }
-    } catch (...) {
-      // A bad request poisons the whole coalesced call (e.g. an input
-      // outside the datapath format). Fall back to per-request execution
-      // so only the offenders see the exception — error isolation.
-      for (const std::size_t i : members) {
-        if (!handled[i]) {
-          execute_one(shard, group[i]);
-          handled[i] = true;
-          finish(group[i]);
-        }
-      }
-    }
-  }
-  // Everything else — softmax rows, model passes, lone activations — runs
-  // one engine/model call per request. The engine still fans large calls
-  // out across the thread pool internally.
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    if (!handled[i]) {
-      execute_one(shard, group[i]);
-      finish(group[i]);
-    }
+    // One engine/model call per request; a bad request fails alone. The
+    // engine still fans large calls out across the thread pool internally.
+    execute_one(shard, request);
+    finish(request);
   }
   // A dispatch group with no detections is the circuit's success signal —
   // it resets the failure streak and closes a HalfOpen trial.
@@ -723,6 +626,37 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
       obs::counter("serve.resilience.circuit_closes").add();
     }
   }
+}
+
+bool InferenceServer::execute_activation(Shard& shard,
+                                         ActivationRequest& request) {
+  const auto fi = static_cast<std::size_t>(request.function);
+  std::vector<fp::Fixed>& buffer = request.input;
+  if ((shard.health.quarantined() & (1u << fi)) != 0) {
+    evaluate_degraded(shard.engine->unit(), request.function, buffer, buffer);
+    return true;
+  }
+  if (!shard.verify) {
+    shard.engine->evaluate(request.function, buffer, buffer);
+    return false;
+  }
+  // The parity check reads each input word next to the word served for it,
+  // so a verifying shard evaluates into its scratch and releases the
+  // result into the request buffer only once it passes.
+  std::vector<fp::Fixed>& out = shard.verify_scratch;
+  out.resize(buffer.size(), fp::Fixed::zero(shard.engine->format()));
+  shard.engine->evaluate(request.function, buffer, out);
+  if (verify_activation(*checker_, shard.engine->format(), request.function,
+                        buffer, out)) {
+    std::copy(out.begin(), out.end(), buffer.begin());
+    return false;
+  }
+  // A served word failed its parity signature. Quarantine first, then
+  // recompute on the scalar path — the client gets correct bits, never the
+  // corrupt ones.
+  on_detection(shard, fi);
+  evaluate_degraded(shard.engine->unit(), request.function, buffer, buffer);
+  return true;
 }
 
 void InferenceServer::execute_one(Shard& shard, Request& request) {
@@ -741,27 +675,11 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
         using T = std::decay_t<decltype(r)>;
         try {
           if constexpr (std::is_same_v<T, ActivationRequest>) {
-            const auto fi = static_cast<std::size_t>(r.function);
-            if ((shard.health.quarantined() & (1u << fi)) != 0) {
+            // Evaluated in place: the request's own buffer is its result.
+            if (execute_activation(shard, r)) {
               note_degraded();
-              std::vector<fp::Fixed> out(
-                  r.input.size(), fp::Fixed::zero(shard.engine->format()));
-              evaluate_degraded(shard.engine->unit(), r.function, r.input,
-                                out);
-              won = r.result->set_value(std::move(out));
-            } else {
-              std::vector<fp::Fixed> out =
-                  shard.engine->evaluate(r.function, r.input);
-              if (shard.verify &&
-                  !verify_activation(*checker_, shard.engine->format(),
-                                     r.function, r.input, out)) {
-                on_detection(shard, fi);
-                note_degraded();
-                evaluate_degraded(shard.engine->unit(), r.function, r.input,
-                                  out);
-              }
-              won = r.result->set_value(std::move(out));
             }
+            won = r.result->set_value(std::move(r.input));
           } else if constexpr (std::is_same_v<T, SoftmaxRequest>) {
             const auto exp_fi = static_cast<std::size_t>(Function::Exp);
             if ((shard.health.quarantined() & (1u << exp_fi)) != 0) {

@@ -9,11 +9,11 @@
 // clients grew), this server scales out:
 //
 //   * sharded ingress — N dispatcher shards, each owning a bounded MPSC
-//     ShardQueue, its own core::BatchNacu engine, its own MicroBatcher,
-//     and its own concat scratch. A cheap shard picker (round-robin with
-//     per-thread affinity) sends each submitting thread to its home
-//     shard, so S shards divide submission-lock contention by S; a full
-//     home shard spills to the next before rejecting;
+//     ShardQueue, its own core::BatchNacu engine and its own MicroBatcher.
+//     A cheap shard picker (round-robin with per-thread affinity) sends
+//     each submitting thread to its home shard, so S shards divide
+//     submission-lock contention by S; a full home shard spills to the
+//     next before rejecting;
 //   * work stealing — an idle shard steals the oldest queued ingress of
 //     the most loaded neighbour, so one bursty client cannot strand work
 //     behind a single dispatcher while others sit idle;
@@ -36,7 +36,7 @@
 //
 //  * bit-identity — results equal direct BatchNacu/model calls raw-for-raw
 //    no matter the shard count, the stealing schedule, how requests were
-//    coalesced into groups, whether a retry or hedge copy won, or whether
+//    grouped for dispatch, whether a retry or hedge copy won, or whether
 //    the serving path was quarantined down to the scalar unit. Every
 //    shard's engine builds identical tables from the same scalar datapath,
 //    and the scalar datapath *is* the table's source — so every schedule
@@ -51,9 +51,14 @@
 //    returned future is therefore always eventually ready — deadline-shed
 //    requests become ready with DeadlineExpiredError, requests orphaned by
 //    a shard failure with no retry credit with ShardFailedError;
-//  * per-request error isolation — a request with bad inputs (e.g. a Fixed
+//  * in-place activations — an activation's result is delivered in the
+//    request's own input vector, overwritten with f(input) (a verifying
+//    shard evaluates into a reused scratch and copies back after the
+//    parity check), so serving allocates and copies no result buffer;
+//  * per-request error isolation — every request of a dispatch group is
+//    evaluated on its own, so a request with bad inputs (e.g. a Fixed
 //    outside the datapath format) gets the exception on its own future; the
-//    other requests of the same coalesced group still complete correctly;
+//    other requests of the same group still complete correctly;
 //  * observability — per-stage obs:: metrics: serve.* admission counters
 //    and latency histograms (log2 buckets give p50/p99 through
 //    Registry::to_json()), serve.shard.* steal counters, serve.admission.*
@@ -277,12 +282,9 @@ class InferenceServer {
     /// used to decide record_success at group end.
     std::uint64_t group_detections = 0;
 
-    /// Dispatcher-thread-only scratch for coalesced evaluation, reused
-    /// across dispatch groups so the steady-state hot path allocates only
-    /// the per-request result vectors.
-    std::vector<fp::Fixed> scratch_in;
-    std::vector<fp::Fixed> scratch_out;
-    std::vector<std::size_t> scratch_members;
+    /// Dispatcher-thread-only: a verifying shard's evaluation target,
+    /// reused across requests (the parity check needs the input intact).
+    std::vector<fp::Fixed> verify_scratch;
 
     std::thread dispatcher;  ///< started after every shard exists
   };
@@ -322,14 +324,17 @@ class InferenceServer {
   void dispatcher_run(std::size_t shard_index);
   /// Steal from the most loaded other shard into @p shard_index's batcher.
   [[nodiscard]] bool try_steal(std::size_t shard_index);
-  /// Execute one dispatch group on @p shard: shed expired deadlines,
-  /// coalesce activations per function, run everything else per request,
-  /// verify table-path results when armed, fulfil every promise exactly
-  /// once (first completed copy wins).
+  /// Execute one dispatch group on @p shard: shed expired deadlines, run
+  /// every other request on its own, fulfil every completion exactly once
+  /// (first completed copy wins).
   void execute_group(Shard& shard, std::vector<Request> group);
-  /// Non-coalesced execution of one request (also the error-isolation
-  /// fallback when a coalesced evaluation throws).
+  /// Execute one request and deliver its value or its exception.
   void execute_one(Shard& shard, Request& request);
+  /// Evaluate an activation in place (request.input becomes the result),
+  /// verified before release when the shard verifies. True when it was
+  /// served on the scalar (degraded) path.
+  [[nodiscard]] bool execute_activation(Shard& shard,
+                                        ActivationRequest& request);
   /// A verify-before-release check failed on @p shard: quarantine the
   /// function, request a scrub, record the failure against the circuit.
   void on_detection(Shard& shard, std::size_t function_index);

@@ -18,8 +18,8 @@
 //   * consumer side — the shard's dispatcher drains the inbox into its
 //     *private* MicroBatcher deque (drain_into swaps under the producer
 //     lock, at most one group's worth per wake so the remainder stays
-//     stealable) and then works lock-free: group formation, coalescing,
-//     and promise fulfilment never touch the mutex;
+//     stealable) and then works lock-free: group formation, in-place
+//     evaluation and completion never touch the mutex;
 //   * thief side — an idle neighbour shard steals the oldest inbox
 //     requests under the victim's producer lock (steal_into), adopting
 //     them into its own accounting. The private deque is never stolen

@@ -96,7 +96,7 @@ TEST(MicroBatcher, MaxWaitZeroIsAdaptiveTakeWhatsPending) {
   EXPECT_FALSE(batcher.should_flush(t0()));  // nothing pending
   batcher.push(tagged(t0(), 1));
   // A single pending request flushes at its own enqueue instant: the
-  // dispatcher coalesces exactly what is pending whenever it wakes.
+  // dispatcher takes exactly what is pending whenever it wakes.
   EXPECT_TRUE(batcher.should_flush(t0()));
   EXPECT_EQ(*batcher.flush_deadline(), t0());
 }

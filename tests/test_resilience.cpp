@@ -353,6 +353,18 @@ TEST(Resilience, StuckAtFaultStaysQuarantinedAfterFailedScrub) {
   expect_bits(server.submit(Function::Tanh, in).get(), want,
               "permanently degraded");
   EXPECT_GT(server.counters().degraded_requests, degraded_before);
+
+  // A request past parallel_threshold on the quarantined function is
+  // computed on the scalar path in its own buffer, still bit-exact.
+  std::vector<fp::Fixed> large;
+  for (std::int64_t k = 0; k < 20000; ++k) {
+    large.push_back(
+        fp::Fixed::from_raw(config.format.min_raw() + 3 * k, config.format));
+  }
+  const auto degraded_before_large = server.counters().degraded_requests;
+  expect_bits(server.submit(Function::Tanh, large).get(),
+              direct.evaluate(Function::Tanh, large), "large degraded");
+  EXPECT_GT(server.counters().degraded_requests, degraded_before_large);
   server.shutdown();
   EXPECT_EQ(server.counters().accepted, server.counters().completed);
 }

@@ -2,18 +2,19 @@
 //
 // The central claim: results delivered through the async InferenceServer
 // are bit-identical to direct core::BatchNacu / model evaluation, no
-// matter how the dynamic micro-batcher coalesces concurrent requests into
-// dispatch groups. The differential sweep proves it for every NacuConfig
+// matter how the dynamic micro-batcher groups concurrent requests for
+// dispatch. The differential sweep proves it for every NacuConfig
 // variant the batch engine's own differential test covers, under
-// multi-threaded clients and three very different batching policies.
-// dispatch groups — and, since the scale-out, no matter how many
-// dispatcher shards the work spreads over or how work stealing reshuffles
-// it: a full shards × max_batch × config matrix plus a single-thread-burst
-// stealing test pin it down. Around that: ShardQueue unit coverage (exact
+// multi-threaded clients and three very different batching policies —
+// and, since the scale-out, no matter how many dispatcher shards the work
+// spreads over or how work stealing reshuffles it: a full shards ×
+// max_batch × config matrix plus a single-thread-burst stealing test pin
+// it down. Around that: ShardQueue unit coverage (exact
 // depth accounting, steal transfer, stop semantics), exact backpressure at
 // the high-water mark, the graceful-shutdown drain guarantee raced against
 // bursty unbalanced submitters, per-request error isolation inside
-// coalesced groups, and the obs:: serving metrics. The whole binary also
+// dispatch groups, in-place delivery (an activation's result is its own
+// request buffer), and the obs:: serving metrics. The whole binary also
 // runs under the CI TSan job (serving-smoke) — submission, dispatch,
 // stealing, and shutdown are the concurrency surface.
 #include <gtest/gtest.h>
@@ -99,6 +100,20 @@ std::vector<WorkItem> make_workload(const NacuConfig& config,
   return work;
 }
 
+/// @p n inputs walking the whole representable range from an offset, so a
+/// request past parallel_threshold reads every table region.
+std::vector<fp::Fixed> large_input(fp::Format fmt, std::size_t n,
+                                   std::size_t offset) {
+  const std::int64_t span = fmt.max_raw() - fmt.min_raw() + 1;
+  std::vector<fp::Fixed> input;
+  input.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto step = static_cast<std::int64_t>(i * 7 + offset * 4099);
+    input.push_back(fp::Fixed::from_raw(fmt.min_raw() + step % span, fmt));
+  }
+  return input;
+}
+
 void expect_bit_equal(const std::vector<fp::Fixed>& got,
                       const std::vector<fp::Fixed>& want,
                       const std::string& context) {
@@ -154,7 +169,7 @@ void run_differential(InferenceServer& server, const NacuConfig& config,
 
 TEST(Serving, BitIdenticalToDirectBatchNacuForEveryConfigVariant) {
   // The acceptance-criteria differential: all five config variants, four
-  // concurrent clients, coalescing on — every delivered bit equals direct
+  // concurrent clients, grouping on — every delivered bit equals direct
   // BatchNacu evaluation.
   for (const auto& [name, config] : config_variants()) {
     ServerOptions options;
@@ -168,9 +183,16 @@ TEST(Serving, BitIdenticalToDirectBatchNacuForEveryConfigVariant) {
 TEST(Serving, CoalescingPolicyCannotChangeTheBits) {
   // The same workload under per-request dispatch (max_batch=1), mid-size
   // groups, and huge groups with age-only flushing must deliver identical
-  // raws — coalescing is a pure scheduling decision.
+  // raws — grouping is a pure scheduling decision. Three requests past the
+  // engine's parallel_threshold (one per function) ride in the middle of
+  // the workload, so pool fan-out shares groups with small requests.
   const NacuConfig config = config_for_bits(16);
-  const std::vector<WorkItem> work = make_workload(config, 77, 64);
+  std::vector<WorkItem> work = make_workload(config, 77, 64);
+  for (std::size_t fi = 0; fi < BatchNacu::kFunctionCount; ++fi) {
+    work.insert(work.begin() + static_cast<std::ptrdiff_t>(16 + 16 * fi),
+                WorkItem{static_cast<Function>(fi),
+                         large_input(config.format, 20000, fi)});
+  }
   std::vector<std::vector<std::vector<std::int64_t>>> per_policy;
   const std::size_t policies = 3;
   for (std::size_t p = 0; p < policies; ++p) {
@@ -201,6 +223,84 @@ TEST(Serving, CoalescingPolicyCannotChangeTheBits) {
   }
   for (std::size_t p = 1; p < per_policy.size(); ++p) {
     ASSERT_EQ(per_policy[p], per_policy[0]) << "policy " << p;
+  }
+}
+
+TEST(Serving, ActivationResultIsTheRequestBuffer) {
+  // Activations are evaluated in place: the vector a completion receives
+  // is the very buffer the client submitted, now holding f(input) —
+  // lone or grouped, small or past parallel_threshold, and on a verifying
+  // shard too (which evaluates into its scratch and copies back).
+  const NacuConfig config = config_for_bits(16);
+  const BatchNacu direct{config};
+  struct Case {
+    Function function;
+    std::vector<fp::Fixed> input;
+    std::vector<fp::Fixed> want;
+  };
+  std::vector<Case> cases;
+  for (std::size_t fi = 0; fi < BatchNacu::kFunctionCount; ++fi) {
+    for (const std::size_t n : {std::size_t{8}, std::size_t{65536}}) {
+      Case c{static_cast<Function>(fi), large_input(config.format, n, fi), {}};
+      c.want = direct.evaluate(c.function, c.input);
+      cases.push_back(std::move(c));
+    }
+  }
+  // Submit through the completion overload; report the buffer address the
+  // client gave up and the vector the completion delivered.
+  struct Sent {
+    const fp::Fixed* data = nullptr;
+    std::future<std::vector<fp::Fixed>> result;
+  };
+  const auto send = [](InferenceServer& server, const Case& c) {
+    std::vector<fp::Fixed> input = c.input;
+    auto delivered = std::make_shared<std::promise<std::vector<fp::Fixed>>>();
+    Sent sent{input.data(), delivered->get_future()};
+    server.submit(c.function, std::move(input), {},
+                  [delivered](std::vector<fp::Fixed>* value,
+                              std::exception_ptr error) {
+                    if (value != nullptr) {
+                      delivered->set_value(std::move(*value));
+                    } else {
+                      delivered->set_exception(std::move(error));
+                    }
+                  });
+    return sent;
+  };
+  const auto expect_in_place = [](Sent& sent, const Case& c,
+                                  const std::string& context) {
+    const std::vector<fp::Fixed> got = sent.result.get();
+    EXPECT_EQ(got.data(), sent.data) << context;
+    expect_bit_equal(got, c.want, context);
+  };
+  for (const bool verify : {false, true}) {
+    ServerOptions options;
+    options.shards = 1;
+    options.resilience.verify_dispatches = verify;
+    const std::string mode = verify ? "verify " : "plain ";
+    {
+      options.batcher.max_batch = 1;
+      InferenceServer server{config, options};
+      for (std::size_t k = 0; k < cases.size(); ++k) {
+        Sent sent = send(server, cases[k]);
+        expect_in_place(sent, cases[k], mode + "lone " + std::to_string(k));
+      }
+    }
+    {
+      // One group holding every case: two requests per function.
+      options.batcher.max_batch = cases.size();
+      options.batcher.max_wait = std::chrono::seconds{30};
+      InferenceServer server{config, options};
+      std::vector<Sent> sent;
+      for (const Case& c : cases) {
+        sent.push_back(send(server, c));
+      }
+      for (std::size_t k = 0; k < cases.size(); ++k) {
+        expect_in_place(sent[k], cases[k],
+                        mode + "grouped " + std::to_string(k));
+      }
+      EXPECT_EQ(server.counters().dispatches, 1u) << mode;
+    }
   }
 }
 
@@ -460,9 +560,10 @@ TEST(Serving, SubmitShutdownRaceLeavesNoHungFuture) {
 }
 
 TEST(Serving, BadRequestsFailAloneInsideCoalescedGroups) {
-  // One request whose input is not in the datapath format poisons the
-  // coalesced evaluation; the server must fall back to per-request
-  // execution so only the offender's future carries the exception.
+  // A request whose input is not in the datapath format sits in one
+  // dispatch group with good ones; every request is evaluated on its own,
+  // so only the offender's future carries the exception. The same holds
+  // past parallel_threshold, where the throw comes from a pool chunk.
   const NacuConfig config = config_for_bits(16);
   ServerOptions options;
   options.batcher.max_batch = 1 << 20;
@@ -474,10 +575,18 @@ TEST(Serving, BadRequestsFailAloneInsideCoalescedGroups) {
       fp::Fixed::from_double(1.0, config.format)};
   const std::vector<fp::Fixed> bad{fp::Fixed::from_double(0.5, wrong)};
 
+  const std::vector<fp::Fixed> large_good =
+      large_input(config.format, 20000, 1);
+  std::vector<fp::Fixed> large_bad = large_good;
+  large_bad[15000] = fp::Fixed::from_double(0.5, wrong);  // a late chunk
+
   auto f1 = server.submit(Function::Sigmoid, good);
   auto f_bad = server.submit(Function::Sigmoid, bad);
   auto f2 = server.submit(Function::Sigmoid, good);
-  server.shutdown();  // flushes all three as one group
+  auto f_large1 = server.submit(Function::Tanh, large_good);
+  auto f_large_bad = server.submit(Function::Tanh, large_bad);
+  auto f_large2 = server.submit(Function::Tanh, large_good);
+  server.shutdown();  // flushes all six as one group
 
   const BatchNacu direct{config};
   const std::vector<fp::Fixed> want =
@@ -485,6 +594,11 @@ TEST(Serving, BadRequestsFailAloneInsideCoalescedGroups) {
   expect_bit_equal(f1.get(), want, "good before");
   expect_bit_equal(f2.get(), want, "good after");
   EXPECT_THROW((void)f_bad.get(), std::invalid_argument);
+  const std::vector<fp::Fixed> want_large =
+      direct.evaluate(Function::Tanh, large_good);
+  expect_bit_equal(f_large1.get(), want_large, "large good before");
+  expect_bit_equal(f_large2.get(), want_large, "large good after");
+  EXPECT_THROW((void)f_large_bad.get(), std::invalid_argument);
 }
 
 TEST(Serving, EmptyRequestsResolveToEmptyResults) {
