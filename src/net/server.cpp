@@ -337,8 +337,7 @@ void NetServer::handle_frame(Connection& conn,
                                           *wire->deadline_ns}}
                       : std::nullopt,
       .tenant = wire->tenant,
-      .max_retries = wire->max_retries,
-      .hedge_fraction = wire->hedge_fraction};
+      .max_retries = wire->max_retries};
 
   try {
     if (op == Opcode::kSubmit || op == Opcode::kSubmitSoftmax) {

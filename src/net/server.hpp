@@ -12,7 +12,7 @@
 // loop (through the eventfd, unless the connection is already queued),
 // which writes the ready prefix of the slots with one sendmsg. Responses
 // thus leave each connection in submission order, however the shards
-// batch, steal, retry or hedge. src/net/README.md walks the lifecycle.
+// batch, steal or retry. src/net/README.md walks the lifecycle.
 //
 // Graceful drain: shutdown() closes the listener, shuts down the
 // inference layer (after which every accepted request's completion has

@@ -25,7 +25,6 @@ void encode_submit_options(ByteWriter& w, const WireSubmitOptions& options) {
   w.u64(options.tenant);
   w.u32(options.max_retries);
   w.i64(options.deadline_ns.value_or(0));
-  w.f64(options.hedge_fraction);
 }
 
 std::optional<WireSubmitOptions> decode_submit_options(ByteReader& r) {
@@ -34,9 +33,7 @@ std::optional<WireSubmitOptions> decode_submit_options(ByteReader& r) {
   const auto tenant = r.u64();
   const auto max_retries = r.u32();
   const auto deadline_ns = r.i64();
-  const auto hedge = r.f64();
-  if (!priority || !flags || !tenant || !max_retries || !deadline_ns ||
-      !hedge) {
+  if (!priority || !flags || !tenant || !max_retries || !deadline_ns) {
     return std::nullopt;
   }
   WireSubmitOptions options;
@@ -46,7 +43,6 @@ std::optional<WireSubmitOptions> decode_submit_options(ByteReader& r) {
   if ((*flags & 1u) != 0) {
     options.deadline_ns = *deadline_ns;
   }
-  options.hedge_fraction = *hedge;
   return options;
 }
 
@@ -82,7 +78,7 @@ std::vector<std::uint8_t> f64_body(ByteWriter& w,
 std::vector<std::uint8_t> encode_raw_request(
     Opcode opcode, std::uint64_t id, const std::uint8_t* function,
     std::span<const std::int64_t> raws, const WireSubmitOptions& options) {
-  ByteWriter w = begin_frame(opcode, 48 + 8 * raws.size());
+  ByteWriter w = begin_frame(opcode, 40 + 8 * raws.size());
   w.u64(id);
   if (function != nullptr) {
     w.u8(*function);
@@ -124,7 +120,7 @@ std::vector<std::uint8_t> encode_submit_softmax(
 std::vector<std::uint8_t> encode_submit_mlp(std::uint64_t id,
                                             std::span<const double> input,
                                             const WireSubmitOptions& options) {
-  ByteWriter w = begin_frame(Opcode::kSubmitMlp, 47 + 8 * input.size());
+  ByteWriter w = begin_frame(Opcode::kSubmitMlp, 39 + 8 * input.size());
   w.u64(id);
   encode_submit_options(w, options);
   return f64_body(w, input);

@@ -12,7 +12,7 @@
 // kMaxFrameBytes) followed by the payload: a one-byte opcode and, on every
 // request and response, the u64 request id that pairs streamed responses
 // with pipelined requests. The byte layout of each payload — including
-// the fixed 30-byte SubmitOptions block, whose deadline is *relative* to
+// the fixed 22-byte SubmitOptions block, whose deadline is *relative* to
 // server receipt — is specified in src/net/README.md; the encode_*
 // builders and decode_submit_options below are its one implementation.
 //
@@ -36,7 +36,7 @@
 
 namespace nacu::net {
 
-inline constexpr std::uint8_t kProtocolVersion = 1;
+inline constexpr std::uint8_t kProtocolVersion = 2;
 /// Hard per-frame payload bound: large enough for any realistic batch
 /// (128 Ki elements), small enough that a corrupt length prefix cannot
 /// make the reader allocate unbounded memory.
@@ -78,7 +78,6 @@ struct WireSubmitOptions {
   std::uint64_t tenant = 0;
   std::uint32_t max_retries = 0;
   std::optional<std::int64_t> deadline_ns;  ///< relative to server receipt
-  double hedge_fraction = 0.0;
 };
 
 // -- byte-level encode/decode ------------------------------------------------

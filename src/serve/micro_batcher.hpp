@@ -39,8 +39,7 @@ struct BatcherOptions {
   std::chrono::microseconds max_wait{200};
   /// Backpressure high-water mark: accepted-but-undispatched requests
   /// beyond this are rejected with OverloadedError. The server splits it
-  /// across shards (ceil(queue_capacity / shards) per ShardQueue); the
-  /// batcher's own full() uses it verbatim for single-queue consumers.
+  /// across shards (ceil(queue_capacity / shards) per ShardQueue).
   std::size_t queue_capacity = 1024;
 };
 
@@ -53,12 +52,8 @@ class MicroBatcher {
   }
   [[nodiscard]] std::size_t size() const noexcept { return pending_.size(); }
   [[nodiscard]] bool empty() const noexcept { return pending_.empty(); }
-  /// Whether the next push must be rejected (backpressure).
-  [[nodiscard]] bool full() const noexcept {
-    return pending_.size() >= options_.queue_capacity;
-  }
-
-  /// Append one accepted request. The caller has already checked full().
+  /// Append one accepted request (admission already happened in the
+  /// shard's ShardQueue).
   void push(Request request);
 
   /// Whether a dispatch group should flush at @p now.

@@ -24,15 +24,13 @@
 // (the drain guarantee still holds — the completion still runs).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -80,10 +78,11 @@ class DeadlineExpiredError : public std::runtime_error {
       : std::runtime_error{"serve: request deadline expired before dispatch"} {}
 };
 
-/// The dispatcher shard holding the request died (uncaught exception) or
-/// stalled, and the request could not be transparently re-enqueued: it had
-/// no retry credit left (SubmitOptions::max_retries, default 0) or the
-/// server-wide retry budget was empty (ResilienceOptions). Delivered
+/// The dispatcher shard holding the request died (uncaught exception) and
+/// the request could not be transparently re-enqueued: it had no retry
+/// credit left (SubmitOptions::max_retries, default 0) or the server-wide
+/// retry budget was empty (ResilienceOptions). Also delivered when a
+/// stalled shard's queued request finds no shard to move to. Delivered
 /// through the future — the drain guarantee still holds, the future is
 /// ready, it just carries this error instead of a value.
 class ShardFailedError : public std::runtime_error {
@@ -118,85 +117,35 @@ struct SubmitOptions {
   /// configured quota (including the default 0) are unmetered.
   std::uint64_t tenant = 0;
   /// Times the server may transparently re-enqueue this request after the
-  /// shard holding it fails (dispatcher death or stall). Every retry also
-  /// draws one token from the server-wide retry-budget bucket
-  /// (ResilienceOptions::retry_budget_per_s) so a crash-looping shard
-  /// cannot amplify load; when either is exhausted the future fails with
-  /// ShardFailedError. 0 (the default) fails fast on the first loss.
+  /// dispatcher holding it dies. Every retry also draws one token from the
+  /// server-wide retry-budget bucket (ResilienceOptions::retry_budget_per_s)
+  /// so a crash-looping shard cannot amplify load; when either is exhausted
+  /// the future fails with ShardFailedError. 0 (the default) fails fast on
+  /// the first loss. Moving a stalled shard's queued work spends neither:
+  /// that work never ran.
   std::uint32_t max_retries = 0;
-  /// Tail-latency hedging: with a deadline set and a fraction in (0, 1],
-  /// the supervisor launches a duplicate dispatch on another shard once
-  /// this fraction of the submit→deadline interval elapses unfinished.
-  /// The first copy to complete wins; results are bit-identical either way
-  /// (every shard's tables are built from the same scalar datapath), so
-  /// hedging is purely a tail-latency lever. Hedges draw from the same
-  /// retry budget. 0 (the default) disables hedging.
-  double hedge_fraction = 0.0;
 };
 
 /// How an accepted request's outcome is delivered: exactly once, with the
 /// value (error null) or with the error (value null). It runs on whichever
 /// serving-layer thread finishes the request — a dispatcher, or the
 /// supervisor / shutdown sweep that fails orphans — so it must not block
-/// and must not throw. The value may be moved from.
+/// and must not throw. The value may be moved from. Each payload owns its
+/// completion and a Request is move-only, so no second copy of a request
+/// can ever deliver.
 template <typename T>
 using Completion = std::function<void(T* value, std::exception_ptr error)>;
 
-/// One-shot result cell shared between a request and its retry/hedge
-/// copies. The resilience layer may put several copies of one accepted
-/// request in flight (a hedge racing a slow shard, a requeue after a shard
-/// died); whichever copy finishes first wins — a single atomic exchange
-/// decides the winner, so the completion runs exactly once and later
-/// completions are dropped, never double-delivered.
+/// Run @p done with the value (@p value non-null) or the error, leaving it
+/// empty. Moved out first, so whatever it captured is released as soon as
+/// it has run rather than when the request dies; a second call is a no-op.
 template <typename T>
-class SharedResult {
- public:
-  SharedResult() = default;
-  explicit SharedResult(Completion<T> completion)
-      : completion_{std::move(completion)} {}
-
-  /// The future adapter: installs a promise-setting completion. Call once,
-  /// before the request is enqueued.
-  [[nodiscard]] std::future<T> get_future() {
-    auto promise = std::make_shared<std::promise<T>>();
-    std::future<T> future = promise->get_future();
-    completion_ = [promise](T* value, std::exception_ptr error) {
-      if (value != nullptr) {
-        promise->set_value(std::move(*value));
-      } else {
-        promise->set_exception(std::move(error));
-      }
-    };
-    return future;
+void deliver(Completion<T>& done, std::type_identity_t<T>* value,
+             std::exception_ptr error = nullptr) {
+  if (const Completion<T> run = std::exchange(done, nullptr)) {
+    run(value, std::move(error));
   }
-  /// Whether some copy already completed (lets the supervisor skip firing
-  /// a hedge whose original has finished).
-  [[nodiscard]] bool done() const noexcept {
-    return done_.load(std::memory_order_acquire);
-  }
-  /// True when this call won (ran the completion).
-  bool set_value(T value) { return deliver(&value, nullptr); }
-  bool set_exception(std::exception_ptr error) {
-    return deliver(nullptr, std::move(error));
-  }
-
- private:
-  bool deliver(T* value, std::exception_ptr error) {
-    if (done_.exchange(true, std::memory_order_acq_rel)) {
-      return false;
-    }
-    // Moved out so whatever it captured is released once it has run, not
-    // when the last copy of the request dies.
-    const Completion<T> completion = std::move(completion_);
-    if (completion) {
-      completion(value, std::move(error));
-    }
-    return true;
-  }
-
-  Completion<T> completion_;
-  std::atomic<bool> done_{false};
-};
+}
 
 /// Element-wise activation over the datapath: out[i] = f(in[i]). Evaluated
 /// in place — the dispatcher overwrites `input` with f(input) and delivers
@@ -205,8 +154,7 @@ class SharedResult {
 struct ActivationRequest {
   core::BatchNacu::Function function = core::BatchNacu::Function::Sigmoid;
   std::vector<fp::Fixed> input;
-  std::shared_ptr<SharedResult<std::vector<fp::Fixed>>> result =
-      std::make_shared<SharedResult<std::vector<fp::Fixed>>>();
+  Completion<std::vector<fp::Fixed>> done{};
 };
 
 /// One Eq. 13 softmax row. Rows are dispatched in the same groups as
@@ -214,17 +162,15 @@ struct ActivationRequest {
 /// normalisation couples every element of a row, so rows are never merged.
 struct SoftmaxRequest {
   std::vector<fp::Fixed> logits;
-  std::shared_ptr<SharedResult<std::vector<fp::Fixed>>> result =
-      std::make_shared<SharedResult<std::vector<fp::Fixed>>>();
+  Completion<std::vector<fp::Fixed>> done{};
 };
 
 /// Full nn::QuantizedMlp forward pass (predict_proba). The model is
-/// borrowed: the caller must keep it alive until the future resolves.
+/// borrowed: the caller must keep it alive until the completion runs.
 struct MlpRequest {
   const nn::QuantizedMlp* model = nullptr;
   std::vector<double> input;
-  std::shared_ptr<SharedResult<std::vector<double>>> result =
-      std::make_shared<SharedResult<std::vector<double>>>();
+  Completion<std::vector<double>> done{};
 };
 
 /// One nn::LstmFixed cell step. The model is borrowed like MlpRequest's.
@@ -232,15 +178,22 @@ struct LstmRequest {
   const nn::LstmFixed* model = nullptr;
   nn::LstmFixed::State state;
   std::vector<double> x;
-  std::shared_ptr<SharedResult<nn::LstmFixed::State>> result =
-      std::make_shared<SharedResult<nn::LstmFixed::State>>();
+  Completion<nn::LstmFixed::State> done{};
 };
 
 /// One queued unit of work plus its scheduling metadata: the admission
 /// timestamp (feeds the max_wait flush policy and the
 /// serve.request_latency_ns enqueue→complete histogram), the priority it
-/// was admitted under, and its optional deadline.
+/// was admitted under, and its optional deadline. Move-only: the payload's
+/// completion is the request's one delivery, so a request is moved between
+/// queues, never copied.
 struct Request {
+  Request() = default;
+  Request(Request&&) = default;
+  Request& operator=(Request&&) = default;
+  Request(const Request&) = delete;
+  Request& operator=(const Request&) = delete;
+
   std::variant<ActivationRequest, SoftmaxRequest, MlpRequest, LstmRequest>
       payload;
   std::chrono::steady_clock::time_point enqueued_at{};
@@ -249,25 +202,13 @@ struct Request {
   /// Remaining transparent re-enqueues after a shard failure
   /// (SubmitOptions::max_retries; decremented per requeue).
   std::uint32_t retries_left = 0;
-  /// A supervisor-launched hedge duplicate. Shares the original's
-  /// SharedResult but is not client-accepted work: it never counts toward
-  /// the completed counter and is silently dropped when orphaned.
-  bool hedge_copy = false;
 };
 
-/// Deliver @p error through whichever result cell the request carries
-/// (deadline shedding / shard-failure sweeps, which never reach
-/// execute_one). A no-op when another copy of the request already won.
+/// Deliver @p error through the request's completion (deadline shedding /
+/// shard-failure sweeps, which never reach execute_one).
 inline void fail_request(Request& request, std::exception_ptr error) {
-  std::visit([&](auto& r) { (void)r.result->set_exception(std::move(error)); },
+  std::visit([&](auto& r) { deliver(r.done, nullptr, std::move(error)); },
              request.payload);
-}
-
-/// Whether the request's result cell has already been fulfilled by some
-/// copy (original or hedge).
-[[nodiscard]] inline bool request_done(const Request& request) {
-  return std::visit([](const auto& r) { return r.result->done(); },
-                    request.payload);
 }
 
 }  // namespace nacu::serve

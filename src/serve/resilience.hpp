@@ -29,15 +29,14 @@
 //    falls back to ignoring circuit state entirely (fail-static: a queue
 //    that may recover beats a rejection);
 //
-//  * retry/hedging budgets — SubmitOptions::max_retries grants a request
-//    transparent re-enqueues after shard failures; SubmitOptions::
-//    hedge_fraction launches a duplicate dispatch on another shard when a
-//    deadline-carrying request sits unfinished too long (first completed
-//    copy wins through SharedResult, bit-identical either way). Both draw
+//  * retry budget — SubmitOptions::max_retries grants a request
+//    transparent re-enqueues after its dispatcher dies. Every retry draws
 //    from one server-wide RetryBudget token bucket — the same bucket
 //    arithmetic as per-tenant admission quotas (admission.hpp TokenBucket,
-//    injectable clock) — so a crash-looping shard or a hedge storm cannot
-//    amplify offered load;
+//    injectable clock) — so a crash-looping shard cannot amplify offered
+//    load. A stalled shard's queued requests never ran, so moving them
+//    spends neither retry credit nor budget. A request is never
+//    duplicated: it owns its one completion and is moved, never copied;
 //
 //  * live SEU scrub-and-recover — with a fault::BitFaultPort armed on a
 //    shard engine (ResilienceOptions::shard_fault_ports), the dispatcher
@@ -103,10 +102,9 @@ struct ResilienceOptions {
   /// Requests admitted to a HalfOpen shard before routing skips it again;
   /// the first cleanly executed dispatch group closes the circuit.
   std::size_t half_open_trials = 4;
-  /// Server-wide retry/hedge budget: sustained tokens per second and
-  /// burst. Every transparent requeue and every fired hedge draws one
-  /// token; an empty bucket turns a retry into ShardFailedError and a
-  /// hedge into a no-op.
+  /// Server-wide retry budget: sustained tokens per second and burst.
+  /// Every transparent requeue of a dead dispatcher's orphan draws one
+  /// token; an empty bucket turns a retry into ShardFailedError.
   double retry_budget_per_s = 100.0;
   double retry_budget_burst = 32.0;
   /// Verify every table-path dispatch against the golden parity
@@ -119,8 +117,8 @@ struct ResilienceOptions {
   /// nullptr = unarmed). Ports must be thread-safe (FaultInjector is).
   /// Attaching a port enables per-dispatch verification on that shard.
   std::vector<fault::BitFaultPort*> shard_fault_ports;
-  /// Clock for circuit cooldowns, stall timing, hedge fire times, and the
-  /// retry budget. Empty → the real steady clock. Injected by tests.
+  /// Clock for circuit cooldowns, stall timing, and the retry budget.
+  /// Empty → the real steady clock. Injected by tests.
   std::function<std::chrono::steady_clock::time_point()> clock;
   /// Test/chaos seam: called by each dispatcher at the top of every loop
   /// pass (after the heartbeat, holding no requests). Throwing simulates
@@ -268,7 +266,7 @@ struct ShardHealthSnapshot {
   std::uint64_t stalls = 0;
 };
 
-/// Server-wide retry/hedge budget: one TokenBucket (the admission-layer
+/// Server-wide retry budget: one TokenBucket (the admission-layer
 /// bucket arithmetic) behind a mutex, read on the injected clock.
 class RetryBudget {
  public:

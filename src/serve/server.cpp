@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cstddef>
 #include <exception>
+#include <future>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -29,6 +31,22 @@ std::size_t resolve_per_shard_capacity(const ServerOptions& options) {
   const std::size_t total =
       std::max<std::size_t>(1, options.batcher.queue_capacity);
   return (total + shards - 1) / shards;
+}
+
+/// The future adapter: point @p done at a fresh promise and return its
+/// future.
+template <typename T>
+std::future<T> fulfil_promise(Completion<T>& done) {
+  auto promise = std::make_shared<std::promise<T>>();
+  std::future<T> future = promise->get_future();
+  done = [promise](T* value, std::exception_ptr error) {
+    if (value != nullptr) {
+      promise->set_value(std::move(*value));
+    } else {
+      promise->set_exception(std::move(error));
+    }
+  };
+  return future;
 }
 
 }  // namespace
@@ -162,18 +180,9 @@ void InferenceServer::sweep_leftovers() {
         [&](Request&& r) { orphans.push_back(std::move(r)); },
         std::numeric_limits<std::size_t>::max());
     for (Request& r : orphans) {
-      if (r.hedge_copy) {
-        continue;  // not client work
-      }
-      if (!request_done(r)) {
-        fail_request(r, std::make_exception_ptr(ShardFailedError{}));
-        retry_exhausted_.fetch_add(1, std::memory_order_relaxed);
-      }
-      finish(r);
+      fail_orphan(r);
     }
   }
-  const std::lock_guard<std::mutex> lock{hedges_mutex_};
-  hedges_.clear();  // copies only; the originals were accounted above
 }
 
 bool InferenceServer::accepting() const {
@@ -229,8 +238,6 @@ InferenceServer::Counters InferenceServer::counters() const {
   c.stalls = stalls_.load(std::memory_order_relaxed);
   c.retried = retried_.load(std::memory_order_relaxed);
   c.retry_exhausted = retry_exhausted_.load(std::memory_order_relaxed);
-  c.hedges = hedges_launched_.load(std::memory_order_relaxed);
-  c.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);
   c.circuit_opens = circuit_opens_.load(std::memory_order_relaxed);
   c.circuit_closes = circuit_closes_.load(std::memory_order_relaxed);
   return c;
@@ -264,8 +271,6 @@ void InferenceServer::enqueue(Payload payload,
       obs::counter("serve.admission.rejected_deadline");
   static obs::Counter& shed_priority_m =
       obs::counter("serve.admission.shed_priority");
-  static obs::Counter& hedges_armed_m =
-      obs::counter("serve.resilience.hedges_armed");
   static obs::Gauge& depth_high_water =
       obs::gauge("serve.queue_depth_high_water");
 
@@ -298,16 +303,6 @@ void InferenceServer::enqueue(Payload payload,
     // it, so the hot path skips the clock.
     request.enqueued_at = now();
   }
-  const bool hedged = submit_options.hedge_fraction > 0.0 &&
-                      submit_options.deadline.has_value();
-  std::optional<Request> hedge;
-  if (hedged) {
-    // Copy before the queue consumes the original: the copy shares the
-    // SharedResult cell (first completion wins) but is not client work.
-    hedge = request;
-    hedge->hedge_copy = true;
-    hedge->retries_left = 0;
-  }
 
   const std::size_t depth_limit = admission_.depth_limit(submit_options.priority);
   const std::size_t shard_count = shards_.size();
@@ -316,11 +311,9 @@ void InferenceServer::enqueue(Payload payload,
   // First pass respects circuit state; when *every* push failed and some
   // shard was skipped for its circuit, a fail-static second pass pushes
   // anyway — a queue that may recover beats rejecting the request.
-  const auto try_route = [&](bool respect_circuit)
-      -> std::optional<std::size_t> {
+  const auto try_route = [&](bool respect_circuit) {
     for (std::size_t probe = 0; probe < shard_count; ++probe) {
-      const std::size_t idx = (start + probe) % shard_count;
-      Shard& shard = *shards_[idx];
+      Shard& shard = *shards_[(start + probe) % shard_count];
       if (respect_circuit && !shard.health.try_admit()) {
         circuit_skipped = true;
         continue;
@@ -329,7 +322,7 @@ void InferenceServer::enqueue(Payload payload,
         case ShardQueue::Push::Ok:
           depth_high_water.record_max(
               static_cast<std::int64_t>(shard.queue.size()));
-          return idx;
+          return true;
         case ShardQueue::Push::Stopped:
           // stop() reaches every queue; seeing one stopped means shutdown.
           rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
@@ -339,31 +332,12 @@ void InferenceServer::enqueue(Payload payload,
           break;  // probe the next shard
       }
     }
-    return std::nullopt;
+    return false;
   };
-  std::optional<std::size_t> placed = try_route(/*respect_circuit=*/true);
-  if (!placed && circuit_skipped) {
-    placed = try_route(/*respect_circuit=*/false);
-  }
-  if (placed) {
+  if (try_route(/*respect_circuit=*/true) ||
+      (circuit_skipped && try_route(/*respect_circuit=*/false))) {
     accepted_.fetch_add(1, std::memory_order_relaxed);
     accepted_m.add();
-    if (hedged) {
-      const auto now_r = resilience_now();
-      const double frac =
-          std::clamp(submit_options.hedge_fraction, 0.0, 1.0);
-      const auto interval = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                *submit_options.deadline - now_r)
-                                .count();
-      const auto wait_ns = std::chrono::nanoseconds{static_cast<std::int64_t>(
-          interval <= 0 ? 0 : static_cast<double>(interval) * frac)};
-      const std::lock_guard<std::mutex> lock{hedges_mutex_};
-      hedges_.push_back(PendingHedge{
-          .fire_at = now_r + wait_ns,
-          .origin = *placed,
-          .request = std::move(*hedge)});
-      hedges_armed_m.add();
-    }
     return;
   }
   if (depth_limit < per_shard_capacity_) {
@@ -381,7 +355,7 @@ void InferenceServer::enqueue(Payload payload,
 template <typename Payload>
 auto InferenceServer::enqueue_for_future(Payload payload,
                                          const SubmitOptions& submit_options) {
-  auto future = payload.result->get_future();
+  auto future = fulfil_promise(payload.done);
   enqueue(std::move(payload), submit_options);
   return future;
 }
@@ -416,28 +390,21 @@ std::future<nn::LstmFixed::State> InferenceServer::submit_lstm(
 void InferenceServer::submit(Function f, std::vector<fp::Fixed> input,
                              const SubmitOptions& submit_options,
                              Completion<std::vector<fp::Fixed>> done) {
-  using Cell = SharedResult<std::vector<fp::Fixed>>;
-  enqueue(ActivationRequest{f, std::move(input),
-                            std::make_shared<Cell>(std::move(done))},
+  enqueue(ActivationRequest{f, std::move(input), std::move(done)},
           submit_options);
 }
 
 void InferenceServer::submit_softmax(std::vector<fp::Fixed> logits,
                                      const SubmitOptions& submit_options,
                                      Completion<std::vector<fp::Fixed>> done) {
-  using Cell = SharedResult<std::vector<fp::Fixed>>;
-  enqueue(SoftmaxRequest{std::move(logits),
-                         std::make_shared<Cell>(std::move(done))},
-          submit_options);
+  enqueue(SoftmaxRequest{std::move(logits), std::move(done)}, submit_options);
 }
 
 void InferenceServer::submit_mlp(const nn::QuantizedMlp& model,
                                  std::vector<double> input,
                                  const SubmitOptions& submit_options,
                                  Completion<std::vector<double>> done) {
-  using Cell = SharedResult<std::vector<double>>;
-  enqueue(MlpRequest{&model, std::move(input),
-                     std::make_shared<Cell>(std::move(done))},
+  enqueue(MlpRequest{&model, std::move(input), std::move(done)},
           submit_options);
 }
 
@@ -662,7 +629,6 @@ bool InferenceServer::execute_activation(Shard& shard,
 void InferenceServer::execute_one(Shard& shard, Request& request) {
   static obs::Counter& degraded_m =
       obs::counter("serve.resilience.degraded_requests");
-  bool won = false;
   // Counted *before* the completion runs so a client that observed its
   // result also observes the counter (the completion's own
   // synchronisation publishes the sequenced-before increment).
@@ -679,14 +645,16 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
             if (execute_activation(shard, r)) {
               note_degraded();
             }
-            won = r.result->set_value(std::move(r.input));
+            deliver(r.done, &r.input);
           } else if constexpr (std::is_same_v<T, SoftmaxRequest>) {
             const auto exp_fi = static_cast<std::size_t>(Function::Exp);
             if ((shard.health.quarantined() & (1u << exp_fi)) != 0) {
               // Softmax reads the exp table; quarantined → the scalar
               // unit's softmax (bit-identical by construction).
               note_degraded();
-              won = r.result->set_value(shard.engine->unit().softmax(r.logits));
+              std::vector<fp::Fixed> out =
+                  shard.engine->unit().softmax(r.logits);
+              deliver(r.done, &out);
             } else {
               std::vector<fp::Fixed> out = shard.engine->softmax(r.logits);
               if (shard.verify &&
@@ -695,33 +663,29 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
                 note_degraded();
                 out = shard.engine->unit().softmax(r.logits);
               }
-              won = r.result->set_value(std::move(out));
+              deliver(r.done, &out);
             }
           } else if constexpr (std::is_same_v<T, MlpRequest>) {
             // Model passes run on the model's own engine — outside the
             // shard's fault/verify domain (see src/fault/README.md).
-            won = r.result->set_value(r.model->predict_proba(r.input));
+            std::vector<double> out = r.model->predict_proba(r.input);
+            deliver(r.done, &out);
           } else {
             static_assert(std::is_same_v<T, LstmRequest>);
-            won = r.result->set_value(r.model->step(r.state, r.x));
+            nn::LstmFixed::State out = r.model->step(r.state, r.x);
+            deliver(r.done, &out);
           }
         } catch (...) {
-          (void)r.result->set_exception(std::current_exception());
+          deliver(r.done, nullptr, std::current_exception());
         }
       },
       request.payload);
-  if (won && request.hedge_copy) {
-    hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 void InferenceServer::finish(const Request& request) {
   static obs::Counter& completed_m = obs::counter("serve.completed");
   static obs::Histogram& latency =
       obs::histogram("serve.request_latency_ns");
-  if (request.hedge_copy) {
-    return;  // not client work; the original's finish() keeps the books
-  }
   completed_.fetch_add(1, std::memory_order_relaxed);
   completed_m.add();
   if (obs::metrics_enabled() &&
@@ -800,7 +764,10 @@ void InferenceServer::supervisor_pass(
           [&](Request&& r) { stranded.push_back(std::move(r)); },
           std::numeric_limits<std::size_t>::max());
       for (Request& r : stranded) {
-        requeue_or_fail(std::move(r));
+        // Never ran, so moving it spends no retry credit or budget.
+        if (!reroute(r)) {
+          fail_orphan(r);
+        }
       }
       last_progress_[i] = now;  // one redistribution per frozen window
     }
@@ -812,7 +779,6 @@ void InferenceServer::supervisor_pass(
                  res.open_cooldown),
         res.half_open_trials);
   }
-  fire_due_hedges(now);
 }
 
 void InferenceServer::recover_dead_shard(
@@ -930,92 +896,42 @@ void InferenceServer::scrub_shard(std::size_t shard_index,
   }
 }
 
-void InferenceServer::fire_due_hedges(
-    std::chrono::steady_clock::time_point now) {
-  static obs::Counter& hedges_m = obs::counter("serve.resilience.hedges");
-  std::vector<PendingHedge> due;
-  {
-    const std::lock_guard<std::mutex> lock{hedges_mutex_};
-    auto it = hedges_.begin();
-    while (it != hedges_.end()) {
-      if (request_done(it->request)) {
-        it = hedges_.erase(it);  // the original already won — drop
-      } else if (it->fire_at <= now) {
-        due.push_back(std::move(*it));
-        it = hedges_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (PendingHedge& h : due) {
-    if (request_done(h.request)) {
-      continue;
-    }
-    if (h.request.deadline.has_value() && *h.request.deadline <= now) {
-      continue;  // too late to help; the dispatcher sheds the original
-    }
-    if (!retry_budget_->try_draw()) {
-      continue;  // budget empty — hedging is strictly best-effort
-    }
-    // A healthy shard other than the origin (a hedge on the same slow
-    // shard would wait behind the same backlog).
-    const std::size_t shard_count = shards_.size();
-    for (std::size_t probe = 1; probe <= shard_count; ++probe) {
-      const std::size_t idx = (h.origin + probe) % shard_count;
-      if (shard_count > 1 && idx == h.origin) {
+bool InferenceServer::reroute(Request& request) {
+  static obs::Counter& retried_m = obs::counter("serve.resilience.retried");
+  bool circuit_skipped = false;
+  for (int round = 0; round < 2; ++round) {
+    for (auto& shard : shards_) {
+      if (round == 0 && !shard->health.try_admit()) {
+        circuit_skipped = true;
         continue;
       }
-      Shard& shard = *shards_[idx];
-      if (!shard.health.try_admit()) {
-        continue;
-      }
-      if (shard.queue.try_push(h.request, per_shard_capacity_) ==
+      if (shard->queue.try_push(request, per_shard_capacity_) ==
           ShardQueue::Push::Ok) {
-        hedges_launched_.fetch_add(1, std::memory_order_relaxed);
-        hedges_m.add();
-        break;
+        retried_.fetch_add(1, std::memory_order_relaxed);
+        retried_m.add();
+        return true;
       }
     }
-    // No shard took it: the hedge is silently dropped (the original is
-    // still in flight and owns the future).
+    if (!circuit_skipped) {
+      break;  // second (fail-static) round could not change the outcome
+    }
   }
+  return false;
 }
 
 void InferenceServer::requeue_or_fail(Request&& request) {
-  static obs::Counter& retried_m = obs::counter("serve.resilience.retried");
-  static obs::Counter& exhausted_m =
-      obs::counter("serve.resilience.retry_exhausted");
-  if (request.hedge_copy) {
-    return;  // copies are disposable; the original owns the future
-  }
-  if (request_done(request)) {
-    finish(request);  // a hedge already delivered the value — just account
-    return;
-  }
   if (request.retries_left > 0 && retry_budget_->try_draw()) {
     request.retries_left -= 1;
-    const std::size_t shard_count = shards_.size();
-    bool circuit_skipped = false;
-    for (int round = 0; round < 2; ++round) {
-      for (std::size_t idx = 0; idx < shard_count; ++idx) {
-        Shard& shard = *shards_[idx];
-        if (round == 0 && !shard.health.try_admit()) {
-          circuit_skipped = true;
-          continue;
-        }
-        if (shard.queue.try_push(request, per_shard_capacity_) ==
-            ShardQueue::Push::Ok) {
-          retried_.fetch_add(1, std::memory_order_relaxed);
-          retried_m.add();
-          return;
-        }
-      }
-      if (!circuit_skipped) {
-        break;  // second (fail-static) round could not change the outcome
-      }
+    if (reroute(request)) {
+      return;
     }
   }
+  fail_orphan(request);
+}
+
+void InferenceServer::fail_orphan(Request& request) {
+  static obs::Counter& exhausted_m =
+      obs::counter("serve.resilience.retry_exhausted");
   fail_request(request, std::make_exception_ptr(ShardFailedError{}));
   retry_exhausted_.fetch_add(1, std::memory_order_relaxed);
   exhausted_m.add();

@@ -25,7 +25,7 @@
 //   * self-healing (resilience.hpp) — per-shard supervision with
 //     heartbeat watchdog, crash respawn and stall redistribution;
 //     per-shard circuit breaking that routes traffic away from unhealthy
-//     shards; budgeted transparent retries and tail-latency hedging; and
+//     shards; budgeted transparent retries after a dispatcher death; and
 //     live SEU scrub-and-recover: with a fault port armed, every
 //     table-path result is parity-verified before release, a detection
 //     quarantines the function onto the bit-identical scalar path while
@@ -36,11 +36,12 @@
 //
 //  * bit-identity — results equal direct BatchNacu/model calls raw-for-raw
 //    no matter the shard count, the stealing schedule, how requests were
-//    grouped for dispatch, whether a retry or hedge copy won, or whether
-//    the serving path was quarantined down to the scalar unit. Every
-//    shard's engine builds identical tables from the same scalar datapath,
-//    and the scalar datapath *is* the table's source — so every schedule
-//    and every degradation yields the same bits;
+//    grouped for dispatch, whether it was retried or moved off a stalled
+//    shard, or whether the serving path was quarantined down to the
+//    scalar unit. Every shard's engine builds identical tables from the
+//    same scalar datapath, and the scalar datapath *is* the table's
+//    source — so every schedule and every degradation yields the same
+//    bits;
 //  * backpressure — at most queue_capacity requests sit accepted-but-
 //    undispatched across all shards; past a priority's depth limit submit
 //    throws OverloadedError and enqueues nothing (reject-with-error, never
@@ -112,13 +113,13 @@ struct ServerOptions {
   std::chrono::microseconds steal_poll{100};
   /// Priority depth limits, deadline policy, per-tenant quotas.
   AdmissionOptions admission{};
-  /// Supervision, circuit breaking, retry/hedge budgets, live SEU
+  /// Supervision, circuit breaking, the retry budget, live SEU
   /// verification (resilience.hpp).
   ResilienceOptions resilience{};
   /// The serving layer's single time source (empty = steady_clock). Every
   /// time read in the layer — the enqueued_at stamp, the max_wait flush
   /// check, dispatch-time deadline shedding, the completion-latency
-  /// histogram, circuit cooldowns, hedge fire times — goes through this
+  /// histogram, circuit cooldowns, stall timing — goes through this
   /// one seam: at construction it is propagated into admission.clock and
   /// resilience.clock wherever those are unset, so injecting a fake clock
   /// here puts the whole layer on fake time. (Before this seam existed,
@@ -208,7 +209,7 @@ class InferenceServer {
 
   /// Run one supervisor pass now, on the resilience clock: recover dead
   /// dispatchers, detect stalls, perform requested scrubs, advance circuit
-  /// cooldowns, fire due hedges. The watchdog thread calls this on its
+  /// cooldowns. The watchdog thread calls this on its
   /// interval; fake-clock tests (and the chaos bench) call it directly for
   /// deterministic recovery. Serialised against the watchdog; a no-op
   /// once shutdown has begun.
@@ -220,8 +221,7 @@ class InferenceServer {
   /// Per-server admission/completion tallies — unlike the obs:: registry
   /// these are always on and scoped to this instance, so tests can assert
   /// exact counts without toggling the global metrics switch. Invariant
-  /// after shutdown(): accepted == completed (hedge copies are not client
-  /// work and count toward neither), and
+  /// after shutdown(): accepted == completed, and
   /// accepted + rejected_* + shed_priority == submissions attempted.
   struct Counters {
     std::uint64_t accepted = 0;
@@ -244,8 +244,10 @@ class InferenceServer {
     std::uint64_t stalls = 0;    ///< frozen-heartbeat redistributions
     std::uint64_t retried = 0;   ///< transparent requeues after shard loss
     std::uint64_t retry_exhausted = 0;  ///< futures failed ShardFailedError
-    std::uint64_t hedges = 0;      ///< duplicate dispatches launched
-    std::uint64_t hedge_wins = 0;  ///< races won by the hedge copy
+    // Always 0: the server never duplicates a request. Kept because the
+    // benchmark harness reads and reports them (serve.hedges).
+    std::uint64_t hedges = 0;
+    std::uint64_t hedge_wins = 0;
     std::uint64_t circuit_opens = 0;
     std::uint64_t circuit_closes = 0;
   };
@@ -289,13 +291,6 @@ class InferenceServer {
     std::thread dispatcher;  ///< started after every shard exists
   };
 
-  /// A supervisor-armed duplicate dispatch waiting for its fire time.
-  struct PendingHedge {
-    std::chrono::steady_clock::time_point fire_at{};
-    std::size_t origin = 0;  ///< shard the original was accepted into
-    Request request;         ///< hedge_copy = true, shares the SharedResult
-  };
-
   /// Admission: preadmit (deadline/quota), stamp, then push into the home
   /// shard or — when it is full — probe the others once around, skipping
   /// shards whose circuit refuses (falling back to ignoring circuit state
@@ -314,8 +309,8 @@ class InferenceServer {
   [[nodiscard]] std::size_t home_shard() const noexcept;
 
   /// Now on the resilience clock (injected fake in tests, steady_clock
-  /// otherwise). Circuit cooldowns, stall timing, hedge fire times, and
-  /// the retry budget all read this clock.
+  /// otherwise). Circuit cooldowns, stall timing, and the retry budget all
+  /// read this clock.
   [[nodiscard]] std::chrono::steady_clock::time_point resilience_now() const;
 
   /// Crash barrier around dispatcher_run: an escaped exception marks the
@@ -325,8 +320,7 @@ class InferenceServer {
   /// Steal from the most loaded other shard into @p shard_index's batcher.
   [[nodiscard]] bool try_steal(std::size_t shard_index);
   /// Execute one dispatch group on @p shard: shed expired deadlines, run
-  /// every other request on its own, fulfil every completion exactly once
-  /// (first completed copy wins).
+  /// every other request on its own, run every completion exactly once.
   void execute_group(Shard& shard, std::vector<Request> group);
   /// Execute one request and deliver its value or its exception.
   void execute_one(Shard& shard, Request& request);
@@ -338,8 +332,7 @@ class InferenceServer {
   /// A verify-before-release check failed on @p shard: quarantine the
   /// function, request a scrub, record the failure against the circuit.
   void on_detection(Shard& shard, std::size_t function_index);
-  /// Record completion metrics and the enqueue→complete latency. Hedge
-  /// copies are not client work — they are skipped entirely.
+  /// Record completion metrics and the enqueue→complete latency.
   void finish(const Request& request);
 
   // -- supervisor (watchdog thread or poke_supervisor) ---------------------
@@ -355,15 +348,18 @@ class InferenceServer {
   /// success; keep stuck-at functions quarantined (still serving, scalar).
   void scrub_shard(std::size_t shard_index,
                    std::chrono::steady_clock::time_point now);
-  /// Launch hedge copies whose fire time has passed (budget-capped, to a
-  /// healthy non-origin shard); drop hedges whose original completed.
-  void fire_due_hedges(std::chrono::steady_clock::time_point now);
-  /// Transparently re-enqueue an orphaned request if it has retry credit
-  /// and the budget admits; otherwise fail its future (ShardFailedError).
-  /// Hedge copies are silently dropped.
+  /// Push an orphaned @p request into some shard, circuits respected
+  /// first, then — when a circuit skip left it unplaced — ignoring circuit
+  /// state (fail-static). Spends no retry credit or budget, so a stalled
+  /// shard's queued work (which never ran) moves for free. Counts a
+  /// success in retried; moves from @p request only on success.
+  [[nodiscard]] bool reroute(Request& request);
+  /// Re-enqueue a dead dispatcher's orphan if it has retry credit and the
+  /// budget admits; otherwise fail its future (ShardFailedError).
   void requeue_or_fail(Request&& request);
-  /// Post-join shutdown sweep: fail-or-finish anything a dead shard left
-  /// behind, drop pending hedges.
+  /// Fail an orphan that found no shard: ShardFailedError, accounted.
+  void fail_orphan(Request& request);
+  /// Post-join shutdown sweep: fail anything a dead shard left behind.
   void sweep_leftovers();
 
   ServerOptions options_;
@@ -388,9 +384,6 @@ class InferenceServer {
   std::vector<std::uint64_t> last_heartbeat_;
   std::vector<std::chrono::steady_clock::time_point> last_progress_;
 
-  std::mutex hedges_mutex_;
-  std::vector<PendingHedge> hedges_;
-
   std::atomic<bool> stopping_{false};
   std::once_flag join_once_;
 
@@ -413,8 +406,6 @@ class InferenceServer {
   std::atomic<std::uint64_t> stalls_{0};
   std::atomic<std::uint64_t> retried_{0};
   std::atomic<std::uint64_t> retry_exhausted_{0};
-  std::atomic<std::uint64_t> hedges_launched_{0};
-  std::atomic<std::uint64_t> hedge_wins_{0};
   std::atomic<std::uint64_t> circuit_opens_{0};
   std::atomic<std::uint64_t> circuit_closes_{0};
 };

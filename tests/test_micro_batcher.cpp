@@ -124,25 +124,12 @@ TEST(MicroBatcher, TakeGroupIsFifoAndBoundedByMaxBatch) {
   EXPECT_TRUE(batcher.take_group().empty());
 }
 
-TEST(MicroBatcher, FullTracksQueueCapacityExactly) {
-  BatcherOptions options;
-  options.queue_capacity = 2;
-  MicroBatcher batcher{options};
-  EXPECT_FALSE(batcher.full());
-  batcher.push(tagged(t0(), 0));
-  EXPECT_FALSE(batcher.full());
-  batcher.push(tagged(t0(), 1));
-  EXPECT_TRUE(batcher.full());
-}
-
 TEST(MicroBatcher, ClampsDegenerateOptions) {
   BatcherOptions options;
   options.max_batch = 0;
-  options.queue_capacity = 0;
   options.max_wait = microseconds{-50};
   const MicroBatcher batcher{options};
   EXPECT_EQ(batcher.options().max_batch, 1u);
-  EXPECT_EQ(batcher.options().queue_capacity, 1u);
   EXPECT_EQ(batcher.options().max_wait.count(), 0);
 }
 

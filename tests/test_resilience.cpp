@@ -13,9 +13,9 @@
 //    ShardFailedError (without) — never hung;
 //  * retry budget — requeues draw from the server-wide token bucket, so
 //    an empty bucket turns retries into fast failures;
-//  * hedging — a duplicate dispatch fired at the hedge deadline races the
-//    original through the shared result cell; the client sees exactly one
-//    result, bit-identical to direct evaluation either way;
+//  * stall redistribution — a stalled shard's queued requests move to
+//    another shard for free (no retry credit or budget: they never ran),
+//    so even default-option requests are served bit-identically;
 //  * live SEU scrub-and-recover — an armed single-bit fault in a dense
 //    table is detected by verify-before-release on the very request that
 //    read the corrupt word, the client still receives correct bits (the
@@ -209,48 +209,6 @@ TEST(Resilience, RetryBudgetBoundsTransparentRequeues) {
   EXPECT_EQ(c.retried, 1u);
   EXPECT_EQ(c.retry_exhausted, 1u);
   EXPECT_EQ(c.accepted, c.completed);
-}
-
-TEST(Resilience, HedgeFirstCompletedWinsBitIdentical) {
-  const NacuConfig config = config_for_bits(16);
-  const BatchNacu direct{config};
-  const FakeClock clock;
-  std::atomic<bool> gate{true};
-
-  ServerOptions options;
-  options.shards = 2;
-  options.work_stealing = false;
-  options.admission.clock = clock.fn();
-  options.resilience.supervise = false;
-  options.resilience.clock = clock.fn();
-  options.resilience.stall_timeout = std::chrono::milliseconds{60000};
-  options.resilience.dispatch_hook = [&gate](std::size_t) {
-    while (gate.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::microseconds{100});
-    }
-  };
-  InferenceServer server{config, options};
-
-  // Both dispatchers are gated, so the original sits queued while the
-  // hedge timer runs on the fake clock.
-  SubmitOptions hedged;
-  hedged.deadline = clock.now() + std::chrono::milliseconds{10};
-  hedged.hedge_fraction = 0.5;  // fire at +5 ms
-  const std::vector<fp::Fixed> in = make_input(config, {3, 1, -200, 77});
-  auto fut = server.submit(Function::Sigmoid, in, hedged);
-
-  clock.advance(std::chrono::milliseconds{6});
-  server.poke_supervisor();  // fires the due hedge onto the other shard
-  EXPECT_EQ(server.counters().hedges, 1u);
-
-  gate.store(false, std::memory_order_release);
-  expect_bits(fut.get(), direct.evaluate(Function::Sigmoid, in),
-              "hedged result");
-  server.shutdown();
-  const auto c = server.counters();
-  // The hedge copy is not client work: the books still balance exactly.
-  EXPECT_EQ(c.accepted, c.completed);
-  EXPECT_EQ(c.hedges, 1u);
 }
 
 TEST(Resilience, TransientSeuIsDetectedQuarantinedAndScrubbed) {
@@ -462,6 +420,69 @@ TEST(Resilience, StallRedistributesQueuedWorkToHealthyShards) {
   }
   server.shutdown();
   EXPECT_EQ(server.counters().accepted, server.counters().completed);
+}
+
+TEST(Resilience, StallRedistributionNeedsNoRetryCredit) {
+  // Default SubmitOptions carry no retry credit. A stalled shard's inbox
+  // never ran, so moving it must not be charged as a retry: every request
+  // is still served, bit-identically, once the dispatchers resume.
+  const NacuConfig config = config_for_bits(16);
+  const BatchNacu direct{config};
+  const FakeClock clock;
+  std::atomic<bool> gate{true};
+
+  ServerOptions options;
+  options.shards = 2;
+  options.work_stealing = false;
+  options.admission.clock = clock.fn();
+  options.resilience.supervise = false;
+  options.resilience.clock = clock.fn();
+  options.resilience.stall_timeout = std::chrono::milliseconds{50};
+  options.resilience.dispatch_hook = [&gate](std::size_t) {
+    while (gate.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::microseconds{100});
+    }
+  };
+  InferenceServer server{config, options};
+  ASSERT_TRUE(eventually([&] {
+    return server.shard_health(0).heartbeat >= 1 &&
+           server.shard_health(1).heartbeat >= 1;
+  })) << "dispatchers never reached the gate";
+
+  constexpr std::size_t kRequests = 6;
+  const std::vector<fp::Fixed> in = make_input(config, {-7, 0, 31, 4095});
+  std::vector<std::future<std::vector<fp::Fixed>>> futures;
+  futures.reserve(kRequests);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    futures.push_back(server.submit(Function::Tanh, in));
+  }
+
+  server.poke_supervisor();  // records the heartbeat baselines
+  clock.advance(std::chrono::milliseconds{60});
+  server.poke_supervisor();  // heartbeats frozen past stall_timeout → stall
+
+  const auto mid = server.counters();
+  EXPECT_GE(mid.stalls, 1u);
+  EXPECT_EQ(mid.retry_exhausted, 0u)
+      << "a stall move must not fail queued work for lack of retry credit";
+
+  gate.store(false, std::memory_order_release);
+  const std::vector<fp::Fixed> want = direct.evaluate(Function::Tanh, in);
+  std::size_t ok = 0;
+  for (auto& fut : futures) {
+    try {
+      expect_bits(fut.get(), want, "redistributed with default options");
+      ++ok;
+    } catch (const ShardFailedError&) {
+      ADD_FAILURE() << "queued request failed by a stall redistribution";
+    }
+  }
+  EXPECT_EQ(ok, kRequests);
+  server.shutdown();
+  const auto c = server.counters();
+  EXPECT_EQ(c.retry_exhausted, 0u);
+  EXPECT_EQ(c.accepted, kRequests);
+  EXPECT_EQ(c.accepted, c.completed);
 }
 
 TEST(Resilience, OpenCircuitHalfOpensAfterCooldownAndClosesOnCleanTrial) {

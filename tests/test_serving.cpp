@@ -28,6 +28,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/batch_nacu.hpp"
@@ -47,6 +48,11 @@ using core::BatchNacu;
 using core::NacuConfig;
 using core::config_for_bits;
 using Function = BatchNacu::Function;
+
+// A request owns its one completion, so exactly-once delivery rests on the
+// request never being copied — the type enforces it.
+static_assert(!std::is_copy_constructible_v<Request>);
+static_assert(!std::is_copy_assignable_v<Request>);
 
 /// The same five config variants as tests/test_batch_differential.cpp —
 /// every switch that changes the datapath's bit behaviour gets one.
@@ -304,6 +310,44 @@ TEST(Serving, ActivationResultIsTheRequestBuffer) {
   }
 }
 
+TEST(Serving, CompletionReleasesItsCapturesOnceItHasRun) {
+  // The network edge's completions hold a shared_ptr to their connection;
+  // it must be released as soon as the completion has run, not when the
+  // server (or some leftover request object) goes away.
+  const NacuConfig config = config_for_bits(16);
+  InferenceServer server{config};
+  const auto token = std::make_shared<int>(0);
+  std::promise<std::vector<fp::Fixed>> delivered;
+  std::future<std::vector<fp::Fixed>> result = delivered.get_future();
+  const std::vector<fp::Fixed> input =
+      large_input(config.format, 16, /*offset=*/3);
+  server.submit(Function::Sigmoid, input, {},
+                [token, &delivered](std::vector<fp::Fixed>* value,
+                                    std::exception_ptr error) {
+                  if (value != nullptr) {
+                    delivered.set_value(std::move(*value));
+                  } else {
+                    delivered.set_exception(std::move(error));
+                  }
+                });
+  expect_bit_equal(result.get(),
+                   BatchNacu{config}.evaluate(Function::Sigmoid, input),
+                   "completion result");
+  // The value is published from inside the completion, so its captures
+  // are destroyed just after; allow the dispatcher that moment.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{10};
+  while (token.use_count() != 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(token.use_count(), 1)
+      << "a completion's captures outlived its run";
+  EXPECT_TRUE(server.accepting()) << "released before shutdown()";
+  server.shutdown();
+  EXPECT_EQ(server.counters().accepted, server.counters().completed);
+}
+
 TEST(Serving, SoftmaxRowsMatchDirectEvaluation) {
   for (const auto& [name, config] : config_variants()) {
     const BatchNacu direct{config};
@@ -482,9 +526,9 @@ TEST(Serving, SubmitShutdownRaceLeavesNoHungFuture) {
   // the moment shutdown() returns every accepted future is *already*
   // ready — a client holding one never blocks, not even briefly. The
   // submitters are staggered so some race the stop flag, some the queue
-  // stop, and some arrive after; retry credit and armed (never-firing)
-  // hedges ride along so the sweep's orphan/hedge bookkeeping is on the
-  // racing path too. Runs under TSan in CI.
+  // stop, and some arrive after; retry credit and far deadlines ride
+  // along so the sweep's orphan bookkeeping is on the racing path too.
+  // Runs under TSan in CI.
   const NacuConfig config = config_for_bits(16);
   ServerOptions options;
   options.shards = 2;
@@ -512,10 +556,9 @@ TEST(Serving, SubmitShutdownRaceLeavesNoHungFuture) {
       std::this_thread::sleep_for(std::chrono::microseconds{300 * c});
       SubmitOptions submit;
       submit.max_retries = c % 2;  // odd clients carry retry credit
-      if (c % 3 == 0) {            // some arm hedges that never fire
+      if (c % 3 == 0) {            // some carry a deadline that never fires
         submit.deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds{30};
-        submit.hedge_fraction = 0.9;
       }
       for (std::size_t i = 0; i < kPerClient; ++i) {
         try {
@@ -614,8 +657,8 @@ TEST(Serving, EmptyRequestsResolveToEmptyResults) {
 // The ingress queue's accounting is what the backpressure and stealing
 // contracts rest on, so its exact semantics get direct tests.
 
-/// A promise-carrying request whose activation input has @p tag elements —
-/// the tag identifies it through drains and steals.
+/// A request whose activation input has @p tag elements — the tag
+/// identifies it through drains and steals.
 Request tagged_request(std::size_t tag) {
   Request request;
   ActivationRequest payload;
@@ -1079,9 +1122,13 @@ TEST(ShardQueue, FullAndStoppedLeaveEveryRequestFieldIntact) {
   const fp::Format fmt{8, 7};
   const auto deadline = std::chrono::steady_clock::time_point{
       std::chrono::nanoseconds{123456789}};
+  int runs = 0;
   const auto make = [&] {
     Request request;
     ActivationRequest payload;
+    payload.done = [&runs](std::vector<fp::Fixed>*, std::exception_ptr) {
+      ++runs;
+    };
     payload.function = Function::Exp;
     payload.input = {fp::Fixed::from_raw(-301, fmt),
                      fp::Fixed::from_raw(77, fmt)};
@@ -1101,9 +1148,9 @@ TEST(ShardQueue, FullAndStoppedLeaveEveryRequestFieldIntact) {
     ASSERT_TRUE(request.deadline.has_value()) << after;
     EXPECT_EQ(*request.deadline, deadline) << after;
     EXPECT_EQ(request.retries_left, 3u) << after;
-    EXPECT_FALSE(request.hedge_copy) << after;
-    ASSERT_NE(payload.result, nullptr) << after;
-    EXPECT_FALSE(payload.result->done()) << after;
+    // The completion is neither consumed nor run by a rejected push.
+    EXPECT_TRUE(static_cast<bool>(payload.done)) << after;
+    EXPECT_EQ(runs, 0) << after;
   };
 
   ShardQueue full_queue{1};
@@ -1117,6 +1164,12 @@ TEST(ShardQueue, FullAndStoppedLeaveEveryRequestFieldIntact) {
   expect_intact(request, "after Full");
   EXPECT_EQ(stopped_queue.try_push(request, 1), ShardQueue::Push::Stopped);
   expect_intact(request, "after Stopped");
+  // And it is still the request's own completion: it runs once, then is
+  // gone.
+  auto& payload = std::get<ActivationRequest>(request.payload);
+  deliver(payload.done, &payload.input);
+  EXPECT_EQ(runs, 1);
+  EXPECT_FALSE(static_cast<bool>(payload.done));
 }
 
 TEST(ShardQueue, RequestSurvivingManyFullProbesDispatchesBitIdentically) {
@@ -1132,15 +1185,23 @@ TEST(ShardQueue, RequestSurvivingManyFullProbesDispatchesBitIdentically) {
       fp::Fixed::from_double(6.0, config.format)};
   const std::vector<fp::Fixed> want = engine.evaluate(Function::Tanh, input);
 
+  auto promise = std::make_shared<std::promise<std::vector<fp::Fixed>>>();
+  std::future<std::vector<fp::Fixed>> future = promise->get_future();
   Request request;
   {
     ActivationRequest payload;
     payload.function = Function::Tanh;
     payload.input = input;
+    payload.done = [promise](std::vector<fp::Fixed>* value,
+                             std::exception_ptr error) {
+      if (value != nullptr) {
+        promise->set_value(std::move(*value));
+      } else {
+        promise->set_exception(std::move(error));
+      }
+    };
     request.payload = std::move(payload);
   }
-  std::future<std::vector<fp::Fixed>> future =
-      std::get<ActivationRequest>(request.payload).result->get_future();
 
   ShardQueue full_queue{1};
   Request filler = tagged_request(1);
@@ -1162,9 +1223,9 @@ TEST(ShardQueue, RequestSurvivingManyFullProbesDispatchesBitIdentically) {
   ASSERT_EQ(group.size(), 1u);
 
   auto& payload = std::get<ActivationRequest>(group.front().payload);
-  ASSERT_TRUE(
-      payload.result->set_value(engine.evaluate(payload.function,
-                                                payload.input)));
+  ASSERT_TRUE(static_cast<bool>(payload.done));
+  std::vector<fp::Fixed> out = engine.evaluate(payload.function, payload.input);
+  deliver(payload.done, &out);
   const std::vector<fp::Fixed> got = future.get();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
