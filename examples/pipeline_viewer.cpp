@@ -58,10 +58,9 @@ int main() {
                         .to_double());
       retired += buf;
     }
-    if (retired.empty()) retired = "-";
     std::printf("%5llu | %-20s | %s\n",
                 static_cast<unsigned long long>(sim.cycle()), issued.c_str(),
-                retired.c_str());
+                retired.empty() ? "-" : retired.c_str());
   }
   std::printf(
       "\nsigma/tanh retire 3 cycles after issue; exp retires 8 cycles after\n"

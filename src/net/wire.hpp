@@ -103,8 +103,11 @@ class ByteWriter {
 
  private:
   void append(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    bytes_.insert(bytes_.end(), p, p + n);
+    // resize + memcpy rather than a range insert: GCC 12's Release
+    // inliner flags the insert's reallocating path as a stringop overflow.
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    std::memcpy(bytes_.data() + at, data, n);
   }
   std::vector<std::uint8_t> bytes_;
 };

@@ -85,7 +85,12 @@ std::string range(int width) {
   if (width <= 1) {
     return "";
   }
-  return "[" + std::to_string(width - 1) + ":0]";
+  // Appended rather than built with operator+: GCC 12's Release inliner
+  // flags the prepend of "[" as an overlapping memcpy (-Wrestrict).
+  std::string out = "[";
+  out += std::to_string(width - 1);
+  out += ":0]";
+  return out;
 }
 
 }  // namespace nacu::rtlgen

@@ -70,8 +70,9 @@ void conv3x3_mac_row_avx2(const std::int32_t* row0, const std::int32_t* row1,
 #if defined(NACU_HAVE_AVX512)
 namespace detail {
 // Implemented in kernels_avx512.cpp (-mavx512f -mavx512bw). Same block
-// contract as the AVX2 set, 16 lanes per step; the i32 kernel uses masked
-// gathers/stores and needs no scalar tail at all.
+// contract as the AVX2 set, 16 lanes per step, except that every kernel
+// runs its ragged tail as one masked block: a clean call returns n, and
+// the scalar loop only rescans a block that failed its check.
 std::size_t table_lookup_fixed_avx512(const std::int16_t* table,
                                       std::int64_t fmt_bits,
                                       std::int64_t min_raw, const char* in,

@@ -9,10 +9,10 @@
 // probe (fixed_layout_is_raw_then_format).
 //
 // Relative to the AVX2 TU everything doubles to 16 dword lanes per step,
-// gathers take k-masks (the i32 kernel uses them to process ragged tails
-// with no scalar loop at all), and the qgemm kernel runs two 8-wide tiles
-// per 512-bit vector — consecutive tiles' accumulators are contiguous, so
-// one load/store covers both.
+// gathers take k-masks (the table-lookup kernels use them to process
+// ragged tails with no scalar loop at all), and the qgemm kernel runs two
+// 8-wide tiles per 512-bit vector — consecutive tiles' accumulators are
+// contiguous, so one load/store covers both.
 //
 // The gather trick is the same dword-pair scheme as AVX2 (see that TU's
 // header comment): gather the aligned dword at half = word >> 1, then
@@ -20,7 +20,19 @@
 
 #if defined(NACU_HAVE_AVX512)
 
+// GCC 12 at -O2 and above reports the intrinsics' own `__m512i __Y = __Y;`
+// placeholder (the undefined upper half of a cast/convert) as used
+// uninitialized once they are inlined here. The lanes it names are never
+// read, so silence the two warnings for the header only.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 #include <cstddef>
 #include <cstdint>
@@ -72,6 +84,13 @@ inline __m512i compact_qwords(__m512i a, __m512i b) noexcept {
 // The Fixed loads split raws from formats per 128-bit lane pair, so the
 // raws sit in [e0 e4 e1 e5 ...] order per vector; the widened results
 // interleave back with the format qword in memory order.
+//
+// A ragged tail of 1–15 elements runs the same block with k-masks, as the
+// i32 kernel does: masked-off qwords are neither loaded nor stored, and
+// masked-off lanes neither fail the check nor gather. So every call runs
+// entirely in vector code — an 8-element request included. A block that
+// fails its check returns its first index and stores nothing, leaving
+// the caller's scalar loop to find the exact element.
 template <bool kFixed, bool kHalf>
 std::size_t table_lookup(const std::int16_t* table, std::int64_t fmt_bits,
                          std::int64_t min_raw, std::int64_t max_raw,
@@ -86,37 +105,59 @@ std::size_t table_lookup(const std::int16_t* table, std::int64_t fmt_bits,
   const __m512i vmask = _mm512_set1_epi32(corr_packed ? 0x7FFF : -1);
   const __m512i cmask = _mm512_set1_epi32(corr_packed ? 1 : 0);
   const __m512i zero = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
+  // Element index of each dword lane of compact_qwords(a, b).
+  const __m512i lane_elem =
+      kFixed ? _mm512_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7, 8, 12, 9, 13, 10, 14,
+                                 11, 15)
+             : _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                                 14, 15);
+  // One block of @p count (1..16) elements at index i; false when an
+  // element fails its check (nothing stored).
+  const auto block = [&](std::size_t i, std::size_t count) {
+    // live: one bit per loaded qword; k: one bit per element lane, in
+    // compact_qwords order.
+    const std::uint32_t live =
+        count == 16 ? 0xFFFFFFFFu
+                    : (1u << (count * (kBytes / 8))) - 1u;
+    const __mmask16 k =
+        count == 16 ? static_cast<__mmask16>(0xFFFF)
+                    : _mm512_cmplt_epi32_mask(
+                          lane_elem,
+                          _mm512_set1_epi32(static_cast<int>(count)));
+    const auto ka = static_cast<__mmask8>(k);
+    const auto kb = static_cast<__mmask8>(k >> 8);
     const char* p = in + i * kBytes;
     __m512i a = zero;  // raws of the first eight elements
     __m512i b = zero;  // raws of the last eight
     if constexpr (kFixed) {
       // Each 64-byte load covers four Fixed: qwords [raw, fmt] × 4.
-      const __m512i v0 = _mm512_loadu_si512(p + 0);
-      const __m512i v1 = _mm512_loadu_si512(p + 64);
-      const __m512i v2 = _mm512_loadu_si512(p + 128);
-      const __m512i v3 = _mm512_loadu_si512(p + 192);
+      const __m512i v0 =
+          _mm512_maskz_loadu_epi64(static_cast<__mmask8>(live), p + 0);
+      const __m512i v1 =
+          _mm512_maskz_loadu_epi64(static_cast<__mmask8>(live >> 8), p + 64);
+      const __m512i v2 = _mm512_maskz_loadu_epi64(
+          static_cast<__mmask8>(live >> 16), p + 128);
+      const __m512i v3 = _mm512_maskz_loadu_epi64(
+          static_cast<__mmask8>(live >> 24), p + 192);
       a = _mm512_unpacklo_epi64(v0, v1);
       b = _mm512_unpacklo_epi64(v2, v3);
-      const __mmask8 eq_a =
-          _mm512_cmpeq_epi64_mask(_mm512_unpackhi_epi64(v0, v1), fmt_v);
-      const __mmask8 eq_b =
-          _mm512_cmpeq_epi64_mask(_mm512_unpackhi_epi64(v2, v3), fmt_v);
-      if ((static_cast<unsigned>(eq_a) & static_cast<unsigned>(eq_b)) !=
-          0xFF) {
-        return i;
+      const __mmask8 eq_a = _mm512_mask_cmpeq_epi64_mask(
+          ka, _mm512_unpackhi_epi64(v0, v1), fmt_v);
+      const __mmask8 eq_b = _mm512_mask_cmpeq_epi64_mask(
+          kb, _mm512_unpackhi_epi64(v2, v3), fmt_v);
+      if (eq_a != ka || eq_b != kb) {
+        return false;
       }
     } else {
-      a = _mm512_loadu_si512(p);
-      b = _mm512_loadu_si512(p + 64);
+      a = _mm512_maskz_loadu_epi64(static_cast<__mmask8>(live), p);
+      b = _mm512_maskz_loadu_epi64(static_cast<__mmask8>(live >> 8), p + 64);
       const __mmask8 bad =
-          _mm512_cmplt_epi64_mask(a, min_v) |
-          _mm512_cmpgt_epi64_mask(a, max_v) |
-          _mm512_cmplt_epi64_mask(b, min_v) |
-          _mm512_cmpgt_epi64_mask(b, max_v);
+          _mm512_mask_cmplt_epi64_mask(ka, a, min_v) |
+          _mm512_mask_cmpgt_epi64_mask(ka, a, max_v) |
+          _mm512_mask_cmplt_epi64_mask(kb, b, min_v) |
+          _mm512_mask_cmpgt_epi64_mask(kb, b, max_v);
       if (bad != 0) {
-        return i;
+        return false;
       }
     }
     __m512i vals = zero;
@@ -129,8 +170,7 @@ std::size_t table_lookup(const std::int16_t* table, std::int64_t fmt_bits,
       const __mmask16 neg16 = static_cast<__mmask16>(
           (static_cast<unsigned>(neg_b) << 8) | static_cast<unsigned>(neg_a));
       const __m512i g = gather_i16_512(
-          table, compact_qwords(_mm512_abs_epi64(a), _mm512_abs_epi64(b)),
-          0xFFFF);
+          table, compact_qwords(_mm512_abs_epi64(a), _mm512_abs_epi64(b)), k);
       const __m512i v = _mm512_and_si512(g, vmask);
       const __m512i corr = _mm512_and_si512(_mm512_srli_epi32(g, 15), cmask);
       vals = _mm512_mask_add_epi32(v, neg16, _mm512_sub_epi32(one_dw, v),
@@ -139,21 +179,36 @@ std::size_t table_lookup(const std::int16_t* table, std::int64_t fmt_bits,
       vals = gather_i16_512(table,
                             compact_qwords(_mm512_sub_epi64(a, min_v),
                                            _mm512_sub_epi64(b, min_v)),
-                            0xFFFF);
+                            k);
     }
     const __m512i ys_a = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(vals));
     const __m512i ys_b =
         _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(vals, 1));
     char* q = out + i * kBytes;
     if constexpr (kFixed) {
-      _mm512_storeu_si512(q + 0, _mm512_unpacklo_epi64(ys_a, fmt_v));
-      _mm512_storeu_si512(q + 64, _mm512_unpackhi_epi64(ys_a, fmt_v));
-      _mm512_storeu_si512(q + 128, _mm512_unpacklo_epi64(ys_b, fmt_v));
-      _mm512_storeu_si512(q + 192, _mm512_unpackhi_epi64(ys_b, fmt_v));
+      _mm512_mask_storeu_epi64(q + 0, static_cast<__mmask8>(live),
+                               _mm512_unpacklo_epi64(ys_a, fmt_v));
+      _mm512_mask_storeu_epi64(q + 64, static_cast<__mmask8>(live >> 8),
+                               _mm512_unpackhi_epi64(ys_a, fmt_v));
+      _mm512_mask_storeu_epi64(q + 128, static_cast<__mmask8>(live >> 16),
+                               _mm512_unpacklo_epi64(ys_b, fmt_v));
+      _mm512_mask_storeu_epi64(q + 192, static_cast<__mmask8>(live >> 24),
+                               _mm512_unpackhi_epi64(ys_b, fmt_v));
     } else {
-      _mm512_storeu_si512(q, ys_a);
-      _mm512_storeu_si512(q + 64, ys_b);
+      _mm512_mask_storeu_epi64(q, static_cast<__mmask8>(live), ys_a);
+      _mm512_mask_storeu_epi64(q + 64, static_cast<__mmask8>(live >> 8),
+                               ys_b);
     }
+    return true;
+  };
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    if (!block(i, 16)) {
+      return i;
+    }
+  }
+  if (i < n && block(i, n - i)) {
+    return n;
   }
   return i;
 }

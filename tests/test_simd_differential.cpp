@@ -17,6 +17,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -318,6 +319,76 @@ TEST(SimdKernels, TableLookupFixedStopsAtFirstFormatMismatch) {
           ASSERT_EQ(out[i].raw(), sentinel.raw())
               << kind << " " << simd::backend_name(backend)
               << " clobbered element " << i << " past mismatch at " << pos;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, TableLookupFixedEveryShortLengthIncludingTailMismatch) {
+  // Lengths 1..33 cover every ragged tail after zero, one and two full
+  // AVX-512 blocks (and AVX2's 8-wide ones). Each length runs clean, in
+  // place, and with a wrong-format element inside the tail — the kernel
+  // must stop exactly there and leave everything at and past it, plus a
+  // guard slot after the span, untouched.
+  const fp::Format fmt = core::config_for_bits(16).format;
+  const fp::Format other{2, 9};
+  const SyntheticTables tables{fmt};
+  const std::vector<fp::Fixed> xs = full_domain(fmt);
+  const fp::Fixed sentinel = fp::Fixed::from_raw(42, fmt);
+  for (const auto& [kind, view] : tables.views()) {
+    const std::vector<std::int64_t> expected = expected_entries(view, fmt);
+    for (const simd::Backend backend : backends()) {
+      for (std::size_t n = 1; n <= 33; ++n) {
+        const std::string context = std::string{kind} + " " +
+                                    simd::backend_name(backend) + " n " +
+                                    std::to_string(n);
+        // Words spread over the whole domain, negatives included, so the
+        // half layouts take both branches inside the tail.
+        std::vector<std::size_t> words(n);
+        std::vector<fp::Fixed> in;
+        for (std::size_t i = 0; i < n; ++i) {
+          words[i] = (i * 40503u + n * 977u) % xs.size();
+          in.push_back(xs[words[i]]);
+        }
+        in.push_back(sentinel);  // guard slot past the span
+        std::vector<fp::Fixed> out(n + 1, sentinel);
+        ASSERT_EQ(simd::table_lookup_fixed(backend, view, fmt, in.data(),
+                                           out.data(), n),
+                  n)
+            << context;
+        std::vector<fp::Fixed> aliased = in;
+        ASSERT_EQ(simd::table_lookup_fixed(backend, view, fmt, aliased.data(),
+                                           aliased.data(), n),
+                  n)
+            << context << " aliased";
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(out[i].raw(), expected[words[i]]) << context << " " << i;
+          ASSERT_EQ(out[i].format(), fmt) << context << " " << i;
+          ASSERT_EQ(aliased[i].raw(), expected[words[i]])
+              << context << " aliased " << i;
+        }
+        ASSERT_EQ(out[n].raw(), sentinel.raw()) << context << " guard";
+        ASSERT_EQ(aliased[n].raw(), sentinel.raw()) << context << " guard";
+
+        // The mismatch sits mid-tail: past the last full 16-lane block
+        // (or in the last block when n is a multiple of 16).
+        const std::size_t tail = n % 16 == 0 ? n - 16 : n - n % 16;
+        const std::size_t pos = tail + (n - tail) / 2;
+        in[pos] = fp::Fixed::zero(other);
+        std::vector<fp::Fixed> stopped(n + 1, sentinel);
+        EXPECT_EQ(simd::table_lookup_fixed(backend, view, fmt, in.data(),
+                                           stopped.data(), n),
+                  pos)
+            << context;
+        for (std::size_t i = 0; i < pos; ++i) {
+          ASSERT_EQ(stopped[i].raw(), expected[words[i]])
+              << context << " " << i;
+        }
+        for (std::size_t i = pos; i <= n; ++i) {
+          ASSERT_EQ(stopped[i].raw(), sentinel.raw())
+              << context << " clobbered element " << i << " past mismatch at "
+              << pos;
         }
       }
     }
