@@ -1,6 +1,7 @@
 #include "nn/lstm.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "nn/rng.hpp"
 #include "obs/metrics.hpp"
@@ -129,8 +130,7 @@ fp::Fixed LstmFixed::gate_preactivation(std::size_t row,
 std::vector<fp::Fixed> LstmFixed::gate_preactivations(
     const std::vector<fp::Fixed>& xq, const State& state) const {
   const std::size_t rows4 = 4 * weights_.hidden;
-  bool fused = fused_ok_ && xq.size() == weights_.input &&
-               state.h.size() == weights_.hidden;
+  bool fused = fused_ok_;
   if (fused) {
     for (const fp::Fixed& v : xq) {
       if (v.format() != fmt_) {
@@ -197,6 +197,11 @@ LstmFixed::State LstmFixed::step(const State& state,
   const obs::ScopedTimer timer{step_ns};
   steps.add();
   const std::size_t h = weights_.hidden;
+  if (x.size() != weights_.input || state.h.size() != h ||
+      state.c.size() != h) {
+    throw std::invalid_argument(
+        "LstmFixed::step: x, h or c does not match the cell's widths");
+  }
   std::vector<fp::Fixed> xq;
   xq.reserve(x.size());
   for (const double v : x) {

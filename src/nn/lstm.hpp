@@ -55,6 +55,8 @@ class LstmFixed {
   /// All 4H gate non-linearities of the step go through one batched σ pass
   /// and one batched tanh pass on core::BatchNacu (plus a batched tanh over
   /// the new cell states) — bit-identical to per-gate scalar evaluation.
+  /// Throws std::invalid_argument unless @p x holds the cell's input width
+  /// and @p state's h and c each hold its hidden width.
   [[nodiscard]] State step(const State& state,
                            const std::vector<double>& x) const;
 

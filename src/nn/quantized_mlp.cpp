@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -14,6 +15,7 @@ QuantizedMlp::QuantizedMlp(const Mlp& reference,
     : unit_{config},
       activation_{reference.config().activation},
       fmt_{config.format},
+      input_size_{reference.weights(0).cols()},
       // MAC accumulator: datapath fb with headroom integer bits for the
       // longest dot product.
       acc_fmt_{std::min(config.format.integer_bits() + 8,
@@ -71,10 +73,9 @@ std::vector<fp::Fixed> QuantizedMlp::dense_forward(
   // Fused path: the whole layer's MAC chains run through the tile-packed
   // int32 kernel — per-step truncate+saturate in the same input order as
   // Fixed::mac, so the raws match the loop below bit-for-bit. Inputs off
-  // the datapath grid (can't happen from predict_proba, but the API allows
-  // it) fall back to the Fixed-API loop, whose format handling is general.
-  bool fused = fused_ok_ && !w.empty() &&
-               input.size() == packed_[layer].in_dim();
+  // the datapath grid fall back to the Fixed-API loop, whose format
+  // handling is general. predict_proba has already checked the width.
+  bool fused = fused_ok_ && !w.empty();
   if (fused) {
     for (const fp::Fixed& v : input) {
       if (v.format() != fmt_) {
@@ -135,6 +136,12 @@ std::vector<fp::Fixed> QuantizedMlp::dense_forward(
 
 std::vector<double> QuantizedMlp::predict_proba(
     const std::vector<double>& input) const {
+  if (input.size() != input_size_) {
+    throw std::invalid_argument(
+        "QuantizedMlp::predict_proba: input has " +
+        std::to_string(input.size()) + " values, the model takes " +
+        std::to_string(input_size_));
+  }
   std::vector<fp::Fixed> acts;
   acts.reserve(input.size());
   for (const double v : input) {

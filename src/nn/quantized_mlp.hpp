@@ -27,6 +27,8 @@ class QuantizedMlp {
   /// magnitude exceeds the representable range (pick a wider format).
   QuantizedMlp(const Mlp& reference, const core::NacuConfig& config);
 
+  /// Class probabilities for one input row. Throws std::invalid_argument
+  /// when @p input does not hold exactly the model's input width.
   [[nodiscard]] std::vector<double> predict_proba(
       const std::vector<double>& input) const;
   [[nodiscard]] int predict(const std::vector<double>& input) const;
@@ -56,6 +58,7 @@ class QuantizedMlp {
   core::BatchNacu unit_;
   HiddenActivation activation_;
   fp::Format fmt_;
+  std::size_t input_size_;
   fp::Format acc_fmt_;
   std::vector<std::vector<std::vector<std::int64_t>>> weights_raw_;
   std::vector<std::vector<std::int64_t>> biases_raw_;

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "core/batch_nacu.hpp"
-#include "nn/lstm.hpp"
 #include "nn/quantized_mlp.hpp"
 
 namespace nacu::serve {
@@ -173,14 +172,6 @@ struct MlpRequest {
   Completion<std::vector<double>> done{};
 };
 
-/// One nn::LstmFixed cell step. The model is borrowed like MlpRequest's.
-struct LstmRequest {
-  const nn::LstmFixed* model = nullptr;
-  nn::LstmFixed::State state;
-  std::vector<double> x;
-  Completion<nn::LstmFixed::State> done{};
-};
-
 /// One queued unit of work plus its scheduling metadata: the admission
 /// timestamp (feeds the max_wait flush policy and the
 /// serve.request_latency_ns enqueue→complete histogram), the priority it
@@ -194,8 +185,7 @@ struct Request {
   Request(const Request&) = delete;
   Request& operator=(const Request&) = delete;
 
-  std::variant<ActivationRequest, SoftmaxRequest, MlpRequest, LstmRequest>
-      payload;
+  std::variant<ActivationRequest, SoftmaxRequest, MlpRequest> payload;
   std::chrono::steady_clock::time_point enqueued_at{};
   Priority priority = Priority::Normal;
   std::optional<std::chrono::steady_clock::time_point> deadline{};

@@ -397,13 +397,6 @@ std::future<std::vector<double>> InferenceServer::submit_mlp(
                             submit_options);
 }
 
-std::future<nn::LstmFixed::State> InferenceServer::submit_lstm(
-    const nn::LstmFixed& model, nn::LstmFixed::State state,
-    std::vector<double> x, const SubmitOptions& submit_options) {
-  return enqueue_for_future(
-      LstmRequest{&model, std::move(state), std::move(x)}, submit_options);
-}
-
 void InferenceServer::submit(Function f, std::vector<fp::Fixed> input,
                              const SubmitOptions& submit_options,
                              Completion<std::vector<fp::Fixed>> done) {
@@ -726,14 +719,11 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
               }
               deliver(r.done, &out);
             }
-          } else if constexpr (std::is_same_v<T, MlpRequest>) {
+          } else {
+            static_assert(std::is_same_v<T, MlpRequest>);
             // Model passes run on the model's own engine — outside the
             // shard's fault/verify domain (see src/fault/README.md).
             std::vector<double> out = r.model->predict_proba(r.input);
-            deliver(r.done, &out);
-          } else {
-            static_assert(std::is_same_v<T, LstmRequest>);
-            nn::LstmFixed::State out = r.model->step(r.state, r.x);
             deliver(r.done, &out);
           }
         } catch (...) {

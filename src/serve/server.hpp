@@ -2,8 +2,8 @@
 //
 // The missing piece between "a fast datapath" and "a system that serves
 // traffic": many concurrent clients submit per-request work — an
-// element-wise activation batch, a softmax row, a whole QuantizedMlp or
-// LstmFixed forward pass — and get std::futures back. Where the first
+// element-wise activation batch, a softmax row, a whole QuantizedMlp
+// forward pass — and get std::futures back. Where the first
 // serving layer funnelled every submitter through one mutex into one
 // dispatcher thread (the measured scaling ceiling: requests/s *fell* as
 // clients grew), this server scales out:
@@ -172,12 +172,6 @@ class InferenceServer {
   void submit_mlp(const nn::QuantizedMlp& model, std::vector<double> input,
                   const SubmitOptions& submit_options,
                   Completion<std::vector<double>> done);
-
-  /// One LSTM cell step: future resolves to model.step(state, x).
-  /// @p model is borrowed — keep it alive until the future resolves.
-  [[nodiscard]] std::future<nn::LstmFixed::State> submit_lstm(
-      const nn::LstmFixed& model, nn::LstmFixed::State state,
-      std::vector<double> x, const SubmitOptions& submit_options = {});
 
   /// Stop admission, drain every accepted request across every shard,
   /// join the supervisor and dispatchers, fail-or-finish any orphans.

@@ -59,11 +59,6 @@ void qgemm_accumulate_avx2(const std::int16_t* packed, std::size_t tiles,
                            std::size_t in_dim, const std::int32_t* x,
                            std::int32_t* acc, int fb, std::int32_t acc_min,
                            std::int32_t acc_max);
-void conv3x3_mac_row_avx2(const std::int32_t* row0, const std::int32_t* row1,
-                          const std::int32_t* row2,
-                          const std::int32_t* filter9, std::size_t out_cols,
-                          int fb, std::int32_t acc_min, std::int32_t acc_max,
-                          std::int32_t* acc);
 }  // namespace detail
 #endif
 
@@ -100,12 +95,6 @@ void qgemm_accumulate_avx512(const std::int16_t* packed, std::size_t tiles,
                              std::size_t in_dim, const std::int32_t* x,
                              std::int32_t* acc, int fb, std::int32_t acc_min,
                              std::int32_t acc_max);
-void conv3x3_mac_row_avx512(const std::int32_t* row0,
-                            const std::int32_t* row1,
-                            const std::int32_t* row2,
-                            const std::int32_t* filter9, std::size_t out_cols,
-                            int fb, std::int32_t acc_min,
-                            std::int32_t acc_max, std::int32_t* acc);
 }  // namespace detail
 #endif
 
@@ -114,7 +103,7 @@ namespace detail {
 // Implemented in kernels_neon.cpp (aarch64 only; Advanced SIMD is baseline
 // there, so no extra -m flags). NEON has no gather — the lookup kernels
 // load lanes individually and vectorize the reconstruct/pack, while qgemm
-// and conv3x3 are fully vectorized.
+// is fully vectorized.
 std::size_t table_lookup_fixed_neon(const std::int16_t* table,
                                     std::int64_t fmt_bits,
                                     std::int64_t min_raw, const char* in,
@@ -139,11 +128,6 @@ void qgemm_accumulate_neon(const std::int16_t* packed, std::size_t tiles,
                            std::size_t in_dim, const std::int32_t* x,
                            std::int32_t* acc, int fb, std::int32_t acc_min,
                            std::int32_t acc_max);
-void conv3x3_mac_row_neon(const std::int32_t* row0, const std::int32_t* row1,
-                          const std::int32_t* row2,
-                          const std::int32_t* filter9, std::size_t out_cols,
-                          int fb, std::int32_t acc_min, std::int32_t acc_max,
-                          std::int32_t* acc);
 }  // namespace detail
 #endif
 
@@ -285,27 +269,6 @@ void qgemm_accumulate_scalar(const std::int16_t* packed, std::size_t tiles,
                             acc_min, acc_max);
       }
     }
-  }
-}
-
-void conv3x3_mac_row_scalar(const std::int32_t* row0, const std::int32_t* row1,
-                            const std::int32_t* row2,
-                            const std::int32_t* filter9, std::size_t out_cols,
-                            int fb, std::int32_t acc_min, std::int32_t acc_max,
-                            std::int32_t* acc) {
-  const std::int32_t* rows[3] = {row0, row1, row2};
-  for (std::size_t c = 0; c < out_cols; ++c) {
-    std::int32_t a = acc[c];
-    for (int fr = 0; fr < 3; ++fr) {
-      const std::int32_t* row = rows[fr] + c;
-      for (int fc = 0; fc < 3; ++fc) {
-        const std::int64_t product =
-            static_cast<std::int64_t>(filter9[fr * 3 + fc]) * row[fc];
-        a = clamp_i32(static_cast<std::int64_t>(a) + (product >> fb), acc_min,
-                      acc_max);
-      }
-    }
-    acc[c] = a;
   }
 }
 
@@ -536,40 +499,6 @@ void qgemm_accumulate(Backend backend, const std::int16_t* packed,
 #endif
   qgemm_accumulate_scalar(packed, tiles, in_dim, x, acc, fb, acc_min,
                           acc_max);
-}
-
-void conv3x3_mac_row(Backend backend, const std::int32_t* row0,
-                     const std::int32_t* row1, const std::int32_t* row2,
-                     const std::int32_t* filter9, std::size_t out_cols,
-                     int fb, std::int32_t acc_min, std::int32_t acc_max,
-                     std::int32_t* acc) {
-#if defined(NACU_HAVE_AVX512)
-  if (backend == Backend::Avx512) {
-    detail::conv3x3_mac_row_avx512(row0, row1, row2, filter9, out_cols, fb,
-                                   acc_min, acc_max, acc);
-    return;
-  }
-#endif
-#if defined(NACU_HAVE_AVX2)
-  if (backend == Backend::Avx2) {
-    detail::conv3x3_mac_row_avx2(row0, row1, row2, filter9, out_cols, fb,
-                                 acc_min, acc_max, acc);
-    return;
-  }
-#endif
-#if defined(NACU_HAVE_NEON)
-  if (backend == Backend::Neon) {
-    detail::conv3x3_mac_row_neon(row0, row1, row2, filter9, out_cols, fb,
-                                 acc_min, acc_max, acc);
-    return;
-  }
-#endif
-#if !defined(NACU_HAVE_AVX2) && !defined(NACU_HAVE_AVX512) && \
-    !defined(NACU_HAVE_NEON)
-  (void)backend;
-#endif
-  conv3x3_mac_row_scalar(row0, row1, row2, filter9, out_cols, fb, acc_min,
-                         acc_max, acc);
 }
 
 }  // namespace nacu::simd

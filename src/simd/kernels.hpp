@@ -1,11 +1,10 @@
 // Vectorizable kernels behind the Backend dispatch (simd/dispatch.hpp).
 //
-// The surface is five entry points:
+// The surface is four entry points:
 //   table_lookup_fixed  fp::Fixed span through a TableView (format-checked)
 //   table_lookup_raw    int64 raws through a TableView (range-checked)
 //   table_lookup_i32    int32 dense-table words, unchecked (softmax exp)
 //   qgemm_accumulate    fused quantized GEMV (nn::QuantizedMlp, LstmFixed)
-//   conv3x3_mac_row     fused 3x3 convolution MAC row
 // Each exists once per ISA: a portable scalar loop (the reference, compiled
 // everywhere) plus AVX2 / AVX-512 / NEON implementations in their own TUs
 // (kernels_avx2.cpp, kernels_avx512.cpp, kernels_neon.cpp — compiled with
@@ -183,20 +182,5 @@ void qgemm_accumulate(Backend backend, const std::int16_t* packed,
                       std::size_t tiles, std::size_t in_dim,
                       const std::int32_t* x, std::int32_t* acc, int fb,
                       std::int32_t acc_min, std::int32_t acc_max);
-
-/// Fused 3x3 convolution MAC across one output row (valid padding):
-///   for c in [0, out_cols):
-///     for fr in 0..2: for fc in 0..2:
-///       acc[c] = clamp(acc[c] + ((filter9[fr*3+fc] * rowfr[c+fc]) >> fb),
-///                      acc_min, acc_max)
-/// — the tap order (fr-major, fc-minor) matches nn/conv.cpp's scalar loop,
-/// so every per-step clamp lands identically. row0/row1/row2 point at the
-/// quantized image rows r, r+1, r+2; each must have out_cols + 2 readable
-/// elements. `acc` is pre-loaded (zero for conv) by the caller.
-void conv3x3_mac_row(Backend backend, const std::int32_t* row0,
-                     const std::int32_t* row1, const std::int32_t* row2,
-                     const std::int32_t* filter9, std::size_t out_cols,
-                     int fb, std::int32_t acc_min, std::int32_t acc_max,
-                     std::int32_t* acc);
 
 }  // namespace nacu::simd

@@ -248,52 +248,6 @@ void qgemm_accumulate_avx2(const std::int16_t* packed, std::size_t tiles,
   }
 }
 
-void conv3x3_mac_row_avx2(const std::int32_t* row0, const std::int32_t* row1,
-                          const std::int32_t* row2,
-                          const std::int32_t* filter9, std::size_t out_cols,
-                          int fb, std::int32_t acc_min, std::int32_t acc_max,
-                          std::int32_t* acc) {
-  const __m256i lo = _mm256_set1_epi32(acc_min);
-  const __m256i hi = _mm256_set1_epi32(acc_max);
-  const __m128i shift = _mm_cvtsi32_si128(fb);
-  const std::int32_t* rows[3] = {row0, row1, row2};
-  std::size_t c = 0;
-  for (; c + 8 <= out_cols; c += 8) {
-    __m256i acc_v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + c));
-    for (int fr = 0; fr < 3; ++fr) {
-      const std::int32_t* row = rows[fr] + c;
-      for (int fc = 0; fc < 3; ++fc) {
-        const __m256i f = _mm256_set1_epi32(filter9[fr * 3 + fc]);
-        const __m256i r = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(row + fc));
-        const __m256i term =
-            _mm256_sra_epi32(_mm256_mullo_epi32(f, r), shift);
-        acc_v = add_clamp_epi32(acc_v, term, lo, hi);
-      }
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + c), acc_v);
-  }
-  for (; c < out_cols; ++c) {
-    std::int32_t a = acc[c];
-    for (int fr = 0; fr < 3; ++fr) {
-      const std::int32_t* row = rows[fr] + c;
-      for (int fc = 0; fc < 3; ++fc) {
-        const std::int64_t product =
-            static_cast<std::int64_t>(filter9[fr * 3 + fc]) * row[fc];
-        std::int64_t v = static_cast<std::int64_t>(a) + (product >> fb);
-        if (v < acc_min) {
-          v = acc_min;
-        } else if (v > acc_max) {
-          v = acc_max;
-        }
-        a = static_cast<std::int32_t>(v);
-      }
-    }
-    acc[c] = a;
-  }
-}
-
 }  // namespace nacu::simd::detail
 
 #endif  // NACU_HAVE_AVX2

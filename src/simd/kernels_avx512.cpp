@@ -324,51 +324,6 @@ void qgemm_accumulate_avx512(const std::int16_t* packed, std::size_t tiles,
   }
 }
 
-void conv3x3_mac_row_avx512(const std::int32_t* row0,
-                            const std::int32_t* row1,
-                            const std::int32_t* row2,
-                            const std::int32_t* filter9, std::size_t out_cols,
-                            int fb, std::int32_t acc_min,
-                            std::int32_t acc_max, std::int32_t* acc) {
-  const __m512i lo = _mm512_set1_epi32(acc_min);
-  const __m512i hi = _mm512_set1_epi32(acc_max);
-  const __m128i shift = _mm_cvtsi32_si128(fb);
-  const std::int32_t* rows[3] = {row0, row1, row2};
-  std::size_t c = 0;
-  for (; c + 16 <= out_cols; c += 16) {
-    __m512i acc_v = _mm512_loadu_si512(acc + c);
-    for (int fr = 0; fr < 3; ++fr) {
-      const std::int32_t* row = rows[fr] + c;
-      for (int fc = 0; fc < 3; ++fc) {
-        const __m512i f = _mm512_set1_epi32(filter9[fr * 3 + fc]);
-        const __m512i r = _mm512_loadu_si512(row + fc);
-        const __m512i term =
-            _mm512_sra_epi32(_mm512_mullo_epi32(f, r), shift);
-        acc_v = add_clamp_epi32_512(acc_v, term, lo, hi);
-      }
-    }
-    _mm512_storeu_si512(acc + c, acc_v);
-  }
-  const std::size_t rem = out_cols - c;
-  if (rem != 0) {
-    // Masked tail: lanes >= rem neither load nor store. Row reads for live
-    // lanes stay within the out_cols + 2 elements the contract guarantees.
-    const __mmask16 k = static_cast<__mmask16>((1u << rem) - 1u);
-    __m512i acc_v = _mm512_maskz_loadu_epi32(k, acc + c);
-    for (int fr = 0; fr < 3; ++fr) {
-      const std::int32_t* row = rows[fr] + c;
-      for (int fc = 0; fc < 3; ++fc) {
-        const __m512i f = _mm512_set1_epi32(filter9[fr * 3 + fc]);
-        const __m512i r = _mm512_maskz_loadu_epi32(k, row + fc);
-        const __m512i term =
-            _mm512_sra_epi32(_mm512_mullo_epi32(f, r), shift);
-        acc_v = add_clamp_epi32_512(acc_v, term, lo, hi);
-      }
-    }
-    _mm512_mask_storeu_epi32(acc + c, k, acc_v);
-  }
-}
-
 }  // namespace nacu::simd::detail
 
 #endif  // NACU_HAVE_AVX512

@@ -11,11 +11,11 @@
 // format/range checks, the |raw| fold, and the half-range reconstruct
 // (`neg ? one_raw − v + corr : v` as a vbsl select; the per-entry corr
 // bit of corr-packed HalfSigmoid tables is unpacked during the scalar
-// gather — see kernels.hpp). The MAC kernels (qgemm,
-// conv3x3) have no loads-by-index and are fully vectorized: vmovl_s16
-// widens weights, vshlq_s32 with a negative count is the truncating
-// arithmetic right shift matching the scalar `>> fb`, and vminq/vmaxq
-// clamp per step exactly like the reference loop.
+// gather — see kernels.hpp). The qgemm MAC kernel has no loads-by-index
+// and is fully vectorized: vmovl_s16 widens weights, vshlq_s32 with a
+// negative count is the truncating arithmetic right shift matching the
+// scalar `>> fb`, and vminq/vmaxq clamp per step exactly like the
+// reference loop.
 
 #if defined(NACU_HAVE_NEON)
 
@@ -204,43 +204,6 @@ void qgemm_accumulate_neon(const std::int16_t* packed, std::size_t tiles,
     }
     vst1q_s32(a, acc0);
     vst1q_s32(a + 4, acc1);
-  }
-}
-
-void conv3x3_mac_row_neon(const std::int32_t* row0, const std::int32_t* row1,
-                          const std::int32_t* row2,
-                          const std::int32_t* filter9, std::size_t out_cols,
-                          int fb, std::int32_t acc_min, std::int32_t acc_max,
-                          std::int32_t* acc) {
-  const int32x4_t lo = vdupq_n_s32(acc_min);
-  const int32x4_t hi = vdupq_n_s32(acc_max);
-  const int32x4_t sh = vdupq_n_s32(-fb);
-  const std::int32_t* rows[3] = {row0, row1, row2};
-  std::size_t c = 0;
-  for (; c + 4 <= out_cols; c += 4) {
-    int32x4_t acc_v = vld1q_s32(acc + c);
-    for (int fr = 0; fr < 3; ++fr) {
-      const std::int32_t* row = rows[fr] + c;
-      for (int fc = 0; fc < 3; ++fc) {
-        const int32x4_t f = vdupq_n_s32(filter9[fr * 3 + fc]);
-        const int32x4_t r = vld1q_s32(row + fc);
-        acc_v = add_clamp_s32(acc_v, vshlq_s32(vmulq_s32(f, r), sh), lo, hi);
-      }
-    }
-    vst1q_s32(acc + c, acc_v);
-  }
-  for (; c < out_cols; ++c) {
-    std::int32_t a = acc[c];
-    for (int fr = 0; fr < 3; ++fr) {
-      for (int fc = 0; fc < 3; ++fc) {
-        const std::int32_t prod = filter9[fr * 3 + fc] * rows[fr][c + fc];
-        const std::int64_t sum =
-            static_cast<std::int64_t>(a) + (prod >> fb);
-        a = static_cast<std::int32_t>(
-            sum < acc_min ? acc_min : (sum > acc_max ? acc_max : sum));
-      }
-    }
-    acc[c] = a;
   }
 }
 

@@ -5,8 +5,8 @@
 // representable input" is a loop, not a sample: each config variant runs
 // σ/tanh/e^x over the entire domain through BatchNacu (table + pool path)
 // and compares raw-for-raw against scalar core::Nacu calls. Softmax is
-// checked element-wise on randomized batches, and the batched consumers
-// (conv features, dense layer reference) against their scalar overloads.
+// checked element-wise on randomized batches, and the batched dense-layer
+// reference against its scalar overload.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 
 #include "cgra/fabric.hpp"
 #include "core/batch_nacu.hpp"
-#include "nn/conv.hpp"
 #include "nn/rng.hpp"
 
 namespace nacu::core {
@@ -269,20 +268,6 @@ TEST(BatchDifferential, WideFormatsFallBackToScalarDatapath) {
   ASSERT_EQ(sm_batch.size(), sm_scalar.size());
   for (std::size_t i = 0; i < sm_batch.size(); ++i) {
     ASSERT_EQ(sm_batch[i].raw(), sm_scalar[i].raw()) << i;
-  }
-}
-
-TEST(BatchDifferential, ConvBatchOverloadMatchesScalarOverload) {
-  const NacuConfig config = config_for_bits(16);
-  const Nacu scalar{config};
-  const BatchNacu batch{config};
-  const nn::ConvFeatures conv{3};
-  const nn::Dataset images = nn::make_pattern_images(2);
-  for (std::size_t s = 0; s < images.size(); ++s) {
-    const nn::MatrixD image = nn::row_to_image(images, s, 8, 8);
-    EXPECT_EQ(conv.extract_fixed(image, batch),
-              conv.extract_fixed(image, scalar))
-        << "image " << s;
   }
 }
 

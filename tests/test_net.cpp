@@ -281,6 +281,22 @@ TEST(Net, HostedMlpForwardPassMatchesDirectPredictProba) {
     ASSERT_TRUE(response->ok()) << response->message;
     EXPECT_EQ(response->doubles, model.predict_proba(input)) << "sample " << s;
   }
+
+  // The element count is the client's to choose: a frame whose input is not
+  // the model's width is a bad request, and the connection keeps serving.
+  for (const std::size_t width : {0u, 1u, 3u}) {
+    const std::vector<double> input(width, 0.25);
+    ASSERT_NE(client.send_mlp(input), 0u);
+    const auto response = client.read_response();
+    ASSERT_TRUE(response.has_value()) << width << " inputs";
+    EXPECT_EQ(response->error, ErrorCode::kBadRequest) << width << " inputs";
+  }
+  const std::vector<double> input{data.inputs(0, 0), data.inputs(0, 1)};
+  ASSERT_NE(client.send_mlp(input), 0u);
+  const auto response = client.read_response();
+  ASSERT_TRUE(response.has_value());
+  ASSERT_TRUE(response->ok()) << response->message;
+  EXPECT_EQ(response->doubles, model.predict_proba(input));
 }
 
 TEST(Net, MlpWithoutHostedModelAnswersUnsupported) {

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <vector>
 
 #include "nn/dataset.hpp"
 #include "nn/lstm.hpp"
@@ -373,6 +375,37 @@ TEST(Lstm, FixedStateWithinTanhRange) {
   for (const auto& h : state.h) {
     EXPECT_LE(std::abs(h.to_double()), 1.0 + 1e-9);
   }
+}
+
+TEST(ModelShapes, WrongLengthInputsThrow) {
+  // Both models index their weights by input position, so an input of the
+  // wrong width is rejected before any weight is read.
+  MlpConfig config;
+  config.layer_sizes = {2, 4, 3};
+  const QuantizedMlp mlp{Mlp{config}, core::config_for_bits(16)};
+  EXPECT_EQ(mlp.predict_proba({0.5, -0.5}).size(), 3u);
+  for (const std::size_t width : {0u, 1u, 3u}) {
+    EXPECT_THROW((void)mlp.predict_proba(std::vector<double>(width, 0.5)),
+                 std::invalid_argument)
+        << width << " inputs";
+  }
+
+  const LstmFixed cell{LstmWeights::random(3, 6), core::config_for_bits(16)};
+  const LstmFixed::State state = cell.initial_state();
+  EXPECT_EQ(cell.step(state, {0.1, 0.2, 0.3}).h.size(), 6u);
+  for (const std::size_t width : {0u, 2u, 4u}) {
+    EXPECT_THROW((void)cell.step(state, std::vector<double>(width, 0.5)),
+                 std::invalid_argument)
+        << width << " inputs";
+  }
+  LstmFixed::State short_h = state;
+  short_h.h.pop_back();
+  EXPECT_THROW((void)cell.step(short_h, {0.1, 0.2, 0.3}),
+               std::invalid_argument);
+  LstmFixed::State short_c = state;
+  short_c.c.pop_back();
+  EXPECT_THROW((void)cell.step(short_c, {0.1, 0.2, 0.3}),
+               std::invalid_argument);
 }
 
 }  // namespace

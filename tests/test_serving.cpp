@@ -36,7 +36,6 @@
 
 #include "core/batch_nacu.hpp"
 #include "nn/dataset.hpp"
-#include "nn/lstm.hpp"
 #include "nn/quantized_mlp.hpp"
 #include "nn/rng.hpp"
 #include "obs/metrics.hpp"
@@ -378,8 +377,8 @@ TEST(Serving, SoftmaxRowsMatchDirectEvaluation) {
 }
 
 TEST(Serving, ModelForwardPassesMatchDirectCalls) {
-  // Full QuantizedMlp and LstmFixed forward passes through the server equal
-  // direct model calls — same code path, now behind the dispatcher.
+  // Full QuantizedMlp forward passes through the server equal direct model
+  // calls — same code path, now behind the dispatcher.
   const NacuConfig config = config_for_bits(16);
   const nn::Dataset data = nn::make_blobs(30, 3);
   nn::MlpConfig mlp_config;
@@ -388,9 +387,6 @@ TEST(Serving, ModelForwardPassesMatchDirectCalls) {
   nn::Mlp reference{mlp_config};
   reference.train(data);
   const nn::QuantizedMlp model{reference, config};
-
-  const nn::LstmWeights weights = nn::LstmWeights::random(6, 8);
-  const nn::LstmFixed lstm{weights, config};
 
   ServerOptions options;
   options.batcher.max_batch = 8;
@@ -401,33 +397,12 @@ TEST(Serving, ModelForwardPassesMatchDirectCalls) {
     const std::vector<double> input{data.inputs(s, 0), data.inputs(s, 1)};
     mlp_futures.push_back(server.submit_mlp(model, input));
   }
-  nn::Rng rng{17};
-  nn::LstmFixed::State state = lstm.initial_state();
-  std::vector<std::vector<double>> xs;
-  std::vector<std::future<nn::LstmFixed::State>> lstm_futures;
-  for (int t = 0; t < 8; ++t) {
-    std::vector<double> x(6);
-    for (double& v : x) {
-      v = rng.uniform(-1.0, 1.0);
-    }
-    lstm_futures.push_back(server.submit_lstm(lstm, state, x));
-    xs.push_back(std::move(x));
-  }
 
   for (std::size_t s = 0; s < data.size(); ++s) {
     const std::vector<double> input{data.inputs(s, 0), data.inputs(s, 1)};
     const std::vector<double> want = model.predict_proba(input);
     const std::vector<double> got = mlp_futures[s].get();
     ASSERT_EQ(got, want) << "sample " << s;
-  }
-  for (std::size_t t = 0; t < xs.size(); ++t) {
-    const nn::LstmFixed::State want = lstm.step(state, xs[t]);
-    const nn::LstmFixed::State got = lstm_futures[t].get();
-    ASSERT_EQ(got.h.size(), want.h.size());
-    for (std::size_t i = 0; i < want.h.size(); ++i) {
-      ASSERT_EQ(got.h[i].raw(), want.h[i].raw()) << "step " << t;
-      ASSERT_EQ(got.c[i].raw(), want.c[i].raw()) << "step " << t;
-    }
   }
 }
 
@@ -609,12 +584,19 @@ TEST(Serving, BadRequestsFailAloneInsideCoalescedGroups) {
   // A request whose input is not in the datapath format sits in one
   // dispatch group with good ones; every request is evaluated on its own,
   // so only the offender's future carries the exception. The same holds
-  // past parallel_threshold, where the throw comes from a pool chunk.
+  // past parallel_threshold, where the throw comes from a pool chunk, and
+  // for a model pass whose input is not the model's width.
   const NacuConfig config = config_for_bits(16);
   ServerOptions options;
   options.batcher.max_batch = 1 << 20;
   options.batcher.max_wait = std::chrono::seconds{30};
   InferenceServer server{config, options};
+
+  nn::MlpConfig mlp_config;
+  mlp_config.layer_sizes = {2, 10, 3};
+  const nn::QuantizedMlp model{nn::Mlp{mlp_config}, config};
+  const std::vector<double> mlp_good{0.5, -0.25};
+  const std::vector<double> mlp_bad{0.5, -0.25, 1.0};
 
   const fp::Format wrong{2, 5};
   const std::vector<fp::Fixed> good{
@@ -632,7 +614,10 @@ TEST(Serving, BadRequestsFailAloneInsideCoalescedGroups) {
   auto f_large1 = server.submit(Function::Tanh, large_good);
   auto f_large_bad = server.submit(Function::Tanh, large_bad);
   auto f_large2 = server.submit(Function::Tanh, large_good);
-  server.shutdown();  // flushes all six as one group
+  auto f_mlp1 = server.submit_mlp(model, mlp_good);
+  auto f_mlp_bad = server.submit_mlp(model, mlp_bad);
+  auto f_mlp2 = server.submit_mlp(model, mlp_good);
+  server.shutdown();  // flushes all nine as one group
 
   const BatchNacu direct{config};
   const std::vector<fp::Fixed> want =
@@ -645,6 +630,10 @@ TEST(Serving, BadRequestsFailAloneInsideCoalescedGroups) {
   expect_bit_equal(f_large1.get(), want_large, "large good before");
   expect_bit_equal(f_large2.get(), want_large, "large good after");
   EXPECT_THROW((void)f_large_bad.get(), std::invalid_argument);
+  const std::vector<double> want_mlp = model.predict_proba(mlp_good);
+  EXPECT_EQ(f_mlp1.get(), want_mlp);
+  EXPECT_EQ(f_mlp2.get(), want_mlp);
+  EXPECT_THROW((void)f_mlp_bad.get(), std::invalid_argument);
 }
 
 TEST(Serving, EmptyRequestsResolveToEmptyResults) {

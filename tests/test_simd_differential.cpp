@@ -647,52 +647,6 @@ TEST(SimdKernels, QgemmSaturationIsOrderSensitiveAndStillBitIdentical) {
                                 "saturating");
 }
 
-TEST(SimdKernels, Conv3x3RowMatchesNaiveTapLoop) {
-  nn::Rng rng{71};
-  const int fb = 11;
-  const fp::Format acc_fmt{12, 11};
-  const auto lo = static_cast<std::int32_t>(acc_fmt.min_raw());
-  const auto hi = static_cast<std::int32_t>(acc_fmt.max_raw());
-  for (const std::size_t out_cols :
-       {std::size_t{1}, std::size_t{6}, std::size_t{8}, std::size_t{13},
-        std::size_t{64}}) {
-    std::vector<std::int32_t> rows[3];
-    for (auto& row : rows) {
-      row.resize(out_cols + 2);
-      for (std::int32_t& v : row) {
-        v = static_cast<std::int32_t>(rng.below(1u << 16)) - (1 << 15);
-      }
-    }
-    std::int32_t filter9[9];
-    for (std::int32_t& v : filter9) {
-      v = static_cast<std::int32_t>(rng.below(1u << 16)) - (1 << 15);
-    }
-    std::vector<std::int32_t> expected(out_cols, 0);
-    for (std::size_t c = 0; c < out_cols; ++c) {
-      std::int64_t acc = 0;
-      for (int fr = 0; fr < 3; ++fr) {
-        for (int fc = 0; fc < 3; ++fc) {
-          const std::int64_t term =
-              (static_cast<std::int64_t>(filter9[fr * 3 + fc]) *
-               rows[fr][c + static_cast<std::size_t>(fc)]) >>
-              fb;
-          acc = std::min<std::int64_t>(
-              std::max<std::int64_t>(acc + term, lo), hi);
-        }
-      }
-      expected[c] = static_cast<std::int32_t>(acc);
-    }
-    for (const simd::Backend backend : backends()) {
-      std::vector<std::int32_t> acc(out_cols, 0);
-      simd::conv3x3_mac_row(backend, rows[0].data(), rows[1].data(),
-                            rows[2].data(), filter9, out_cols, fb, lo, hi,
-                            acc.data());
-      EXPECT_EQ(acc, expected)
-          << simd::backend_name(backend) << " out_cols " << out_cols;
-    }
-  }
-}
-
 TEST(SimdDifferential, BatchEvaluateBitIdenticalAcrossBackendsAndModes) {
   // Every backend × every table layout × every config variant, exhaustively
   // over all 2^16 inputs and all three functions — the scalar Fig. 2
